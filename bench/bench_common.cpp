@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <sstream>
+#include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MLC_HAVE_GETRUSAGE 1
@@ -225,6 +227,45 @@ maxRssJson()
 {
     const long kb = maxRssKb();
     return kb < 0 ? std::string("null") : std::to_string(kb);
+}
+
+GateStatus
+gateStatus(double floor, std::size_t threads_needed)
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    GateStatus::State state = GateStatus::Enforced;
+    if (floor <= 0.0)
+        state = GateStatus::Disabled;
+    else if (hw < threads_needed)
+        state = GateStatus::SkippedHwThreads;
+    return {state, hw, threads_needed};
+}
+
+const char *
+GateStatus::name() const
+{
+    switch (state) {
+    case Enforced:
+        return "enforced";
+    case Disabled:
+        return "disabled";
+    case SkippedHwThreads:
+        return "skipped_hw_threads";
+    }
+    return "?";
+}
+
+std::string
+GateStatus::reason() const
+{
+    std::ostringstream os;
+    os << name();
+    if (state == Disabled)
+        os << " (floor of 0 given)";
+    else if (state == SkippedHwThreads)
+        os << " (" << hwThreads << " hw threads < " << threadsNeeded
+           << " needed)";
+    return os.str();
 }
 
 expt::DesignSpaceGrid

@@ -37,7 +37,7 @@ std::size_t jobsFromArgs(int argc, char **argv);
 /**
  * Shard count for the one-pass engine's set-partitioned sweep:
  * `--shards=N` (or `--shards N`) wins, then the MLC_SHARDS
- * environment variable, then 1 (the scalar in-line path). Results
+ * environment variable, then 1 (one shard). Results
  * are bit-identical for every N (ProfileOptions::shards); only the
  * timing engine ignores it.
  */
@@ -113,6 +113,38 @@ long maxRssKb();
  *  on platforms where sampling is unavailable — never a garbage
  *  number. */
 std::string maxRssJson();
+
+/**
+ * Whether a bench's wall-clock gate is enforced and, if not, why: a
+ * floor of 0 or less disables it (CI smoke runs pass
+ * --min-speedup=0), and a host with fewer hardware threads than the
+ * gate's parallelism skips it, since its timing would mean nothing
+ * there.
+ */
+struct GateStatus
+{
+    enum State
+    {
+        Enforced,
+        Disabled,
+        SkippedHwThreads,
+    };
+
+    State state;
+    unsigned hwThreads;
+    std::size_t threadsNeeded;
+
+    bool enforced() const { return state == Enforced; }
+    /** The JSON value: "enforced", "disabled" or
+     *  "skipped_hw_threads". */
+    const char *name() const;
+    /** name() with the reason in words, for stderr. */
+    std::string reason() const;
+};
+
+/** The status of a gate with floor @p floor whose timing needs
+ *  @p threads_needed hardware threads. */
+GateStatus gateStatus(double floor, std::size_t threads_needed);
 
 /**
  * Build the (L2 size x L2 cycle) relative-execution-time grid for

@@ -42,7 +42,6 @@
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -262,9 +261,7 @@ main(int argc, char **argv)
     // fewer hardware threads than the requested jobs count is
     // already oversubscribed, so only the identity gates (which
     // care about bits, not time) stay enforced there.
-    const bool speedup_enforced =
-        min_speedup > 0.0 &&
-        std::thread::hardware_concurrency() >= jobs;
+    const bench::GateStatus gate = bench::gateStatus(min_speedup, jobs);
 
     std::cout << "{\"refs\":" << refs
               << ",\"configs\":" << configs.size()
@@ -279,8 +276,7 @@ main(int argc, char **argv)
               << ",\"straight_line_s\":" << straight_s
               << ",\"speedup\":" << speedup
               << ",\"min_speedup\":" << min_speedup
-              << ",\"speedup_gate\":\""
-              << (speedup_enforced ? "enforced" : "skipped")
+              << ",\"speedup_gate\":\"" << gate.name()
               << "\",\"from_checkpoint_file\":"
               << (farm.fromCheckpointFile ? "true" : "false")
               << ",\"bit_identical_rewarm\":"
@@ -299,11 +295,11 @@ main(int argc, char **argv)
     if (!identical_straight)
         mlc_fatal("from-farm sweep is not bit-identical to "
                   "straight-line warming");
-    if (speedup_enforced && speedup < min_speedup)
+    if (gate.enforced() && speedup < min_speedup)
         mlc_fatal("farm reload speedup ", speedup, "x below the ",
                   min_speedup, "x gate");
     std::cerr << "  ok: " << speedup << "x vs re-warm ("
-              << (speedup_enforced ? "enforced" : "gate skipped")
+              << "speedup gate " << gate.reason()
               << "), bit-identical to re-warm and straight-line\n";
     return 0;
 }

@@ -33,7 +33,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -277,10 +276,8 @@ main(int argc, char **argv)
     const double cascade_s = seconds(c0);
 
     const double speedup = timing_s / cascade_s;
-    const unsigned hw_threads =
-        std::thread::hardware_concurrency();
-    const bool gate_enforced =
-        min_speedup > 0.0 && hw_threads >= shards;
+    const bench::GateStatus gate =
+        bench::gateStatus(min_speedup, shards);
 
     std::cout << "{\"shards\":" << shards << ",\"jobs\":" << jobs
               << ",\"cross_rows\":" << report.rows.size()
@@ -294,9 +291,8 @@ main(int argc, char **argv)
               << ",\"cascade_s\":" << cascade_s
               << ",\"speedup\":" << speedup
               << ",\"min_speedup\":" << min_speedup
-              << ",\"speedup_gate\":\""
-              << (gate_enforced ? "enforced" : "skipped")
-              << "\",\"hw_threads\":" << hw_threads
+              << ",\"speedup_gate\":\"" << gate.name()
+              << "\",\"hw_threads\":" << gate.hwThreads
               << ",\"max_rss_kb\":" << bench::maxRssJson() << ","
               << bench::provenanceJson() << "}\n";
 
@@ -308,17 +304,10 @@ main(int argc, char **argv)
     if (!shards_identical)
         mlc_fatal("sharded cascade profile is not bit-identical "
                   "to the scalar pass");
-    if (gate_enforced && speedup < min_speedup)
+    if (gate.enforced() && speedup < min_speedup)
         mlc_fatal("cascade speedup ", speedup, "x below the ",
                   min_speedup, "x gate over the timing sweep");
-    std::cerr << "  ok: exact"
-              << (gate_enforced
-                      ? (", " + std::to_string(speedup) + "x")
-                      : std::string(
-                            ", speedup gate skipped (") +
-                            std::to_string(hw_threads) +
-                            " hw threads < " +
-                            std::to_string(shards) + " shards)")
-              << "\n";
+    std::cerr << "  ok: exact, " << speedup << "x, speedup gate "
+              << gate.reason() << "\n";
     return 0;
 }

@@ -26,8 +26,9 @@
  *  6. graceful shutdown via the protocol verb; the server must
  *     drain and join cleanly.
  *
- * Latency gates report "skipped" (not fail) on hosts with too few
- * hardware threads; the identity gates always gate the exit code.
+ * The latency gate reports "skipped_hw_threads" (not fail) on hosts
+ * with too few hardware threads and "disabled" at --min-ratio=0; the
+ * identity gates always gate the exit code.
  *
  *   $ ./serve_throughput [--clients=N] [--requests=N] [--seed=N]
  *                        [--min-ratio=X] [--jobs=N]
@@ -149,7 +150,6 @@ main(int argc, char **argv)
             min_ratio = std::strtod(arg.c_str() + 12, nullptr);
     }
     const std::size_t jobs = bench::jobsFromArgs(argc, argv);
-    const unsigned hw_threads = std::thread::hardware_concurrency();
 
     const std::string socket = "/tmp/mlc_serve_bench." +
                                std::to_string(getpid()) + ".sock";
@@ -310,8 +310,8 @@ main(int argc, char **argv)
             ? static_cast<double>(load_cached) /
                   static_cast<double>(load_total)
             : 0.0;
-    const bool latency_gate_enforced =
-        min_ratio > 0.0 && hw_threads >= 2;
+    const bench::GateStatus latency_gate =
+        bench::gateStatus(min_ratio, 2);
     const bool available = load_errors == 0 && serial_errors == 0;
 
     std::cout << "{\"clients\":" << clients
@@ -326,8 +326,7 @@ main(int argc, char **argv)
               << ",\"memo_p99_us\":" << hot_p99
               << ",\"cold_over_memo_p99\":" << ratio
               << ",\"min_ratio\":" << min_ratio
-              << ",\"latency_gate\":\""
-              << (latency_gate_enforced ? "enforced" : "skipped")
+              << ",\"latency_gate\":\"" << latency_gate.name()
               << "\",\"identity\":"
               << (identity ? "true" : "false")
               << ",\"memo_identical\":"
@@ -336,7 +335,7 @@ main(int argc, char **argv)
               << (reconnect_identity ? "true" : "false")
               << ",\"available\":" << (available ? "true" : "false")
               << ",\"drained\":" << (drained ? "true" : "false")
-              << ",\"hw_threads\":" << hw_threads
+              << ",\"hw_threads\":" << latency_gate.hwThreads
               << ",\"max_rss_kb\":" << bench::maxRssJson() << ","
               << bench::provenanceJson() << "}\n";
 
@@ -353,15 +352,13 @@ main(int argc, char **argv)
         mlc_fatal("queries failed during the load phases");
     if (!drained)
         mlc_fatal("shutdown verb did not report draining");
-    if (latency_gate_enforced && ratio < min_ratio)
+    if (latency_gate.enforced() && ratio < min_ratio)
         mlc_fatal("memoized-hit p99 only ", ratio,
                   "x faster than the cold query (gate ", min_ratio,
                   "x)");
     std::cerr << "  ok: " << qps << " q/s, memo p99 "
-              << hot_p99 << " us, cold/memo " << ratio << "x"
-              << (latency_gate_enforced ? ""
-                                        : " (latency gate skipped)")
-              << "\n";
+              << hot_p99 << " us, cold/memo " << ratio
+              << "x, latency gate " << latency_gate.reason() << "\n";
     return 0;
 }
 

@@ -300,8 +300,11 @@ writeConfig(std::ostream &os, const HierarchyParams &params)
     } else {
         emitCache("l1", params.l1d);
     }
-    for (std::size_t i = 0; i < params.levels.size(); ++i)
-        emitCache("l" + std::to_string(i + 2), params.levels[i]);
+    for (std::size_t i = 0; i < params.levels.size(); ++i) {
+        std::string name = "l";
+        name += std::to_string(i + 2);
+        emitCache(name, params.levels[i]);
+    }
 
     for (std::size_t i = 0; i < params.levels.size(); ++i)
         os << "bus.l" << i + 2

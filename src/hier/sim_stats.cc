@@ -59,8 +59,8 @@ SimStats::addLevelStats()
     // SimResults::levels are fixed by construction.
     const std::size_t level_count = sim_.levelCount() + 1;
     for (std::size_t i = 0; i < level_count; ++i) {
-        const std::string group_name =
-            i == 0 ? "l1" : "l" + std::to_string(i + 1);
+        std::string group_name = "l";
+        group_name += std::to_string(i + 1);
         auto *group = groups_
                           .emplace_back(
                               std::make_unique<stats::Group>(

@@ -1,175 +1,26 @@
 #include "mrc/engine.hh"
 
 #include <algorithm>
-#include <cmath>
+#include <utility>
 
 #include "onepass/grid.hh"
+#include "onepass/pipeline.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
 namespace mlc {
 namespace mrc {
 
-namespace {
-
-std::uint32_t
-maxAssoc(const std::vector<onepass::GhostCacheSpec> &configs)
-{
-    std::uint32_t m = 1;
-    for (const onepass::GhostCacheSpec &spec : configs)
-        m = std::max(m, spec.assoc);
-    return m;
-}
-
-/** Replay a filtered event log into a sampled forest, resetting the
- *  counts at the log's warm boundary — the sampled twin of
- *  onepass::sweepEventLog's in-loop reset, including the
- *  past-the-end case (post-warm stream absorbed upstream). */
-void
-replayLog(const onepass::FilteredEventLog &log,
-          SampledGhostForest &forest)
-{
-    for (std::size_t i = 0; i < log.events.size(); ++i) {
-        if (i == log.warmEvents)
-            forest.resetCounts();
-        const std::uint64_t word = log.events[i];
-        const Addr addr =
-            word & ~onepass::FilteredEventLog::kKindMask;
-        switch (word & onepass::FilteredEventLog::kKindMask) {
-          case onepass::FilteredEventLog::ReadCounted:
-            forest.read(addr, true);
-            break;
-          case onepass::FilteredEventLog::ReadUncounted:
-            forest.read(addr, false);
-            break;
-          default:
-            forest.write(addr);
-            break;
-        }
-    }
-    if (log.warmEvents != onepass::FilteredEventLog::kNoBoundary &&
-        log.warmEvents >= log.events.size())
-        forest.resetCounts();
-}
-
-} // namespace
-
-StreamingProfiler::StreamingProfiler(
-    const hier::HierarchyParams &base,
-    const onepass::FamilySpec &family, std::uint64_t warmup_refs,
-    const MrcOptions &opts)
-    : family_([&] {
-          if (family.configs.empty())
-              mlc_panic("mrc::StreamingProfiler: empty cache "
-                        "family");
-          return family;
-      }()),
-      opts_(opts), warmup_(warmup_refs), filter_(base),
-      filtered_(family_.configs,
-                onepass::GhostPolicies::fromLevel(
-                    [&]() -> const cache::CacheParams & {
-                        const hier::HierarchyParams &p =
-                            filter_.params();
-                        if (p.levels.empty())
-                            mlc_panic(
-                                "mrc::StreamingProfiler: the base "
-                                "machine has no downstream level "
-                                "for the family to stand in for");
-                        return p.levels[0];
-                    }(),
-                    maxAssoc(family_.configs)),
-                opts.sampler)
-{
-    const hier::HierarchyParams &params = filter_.params();
-    const std::uint32_t l1_block = std::max(
-        params.l1d.geometry.blockBytes,
-        params.splitL1 ? params.l1i.geometry.blockBytes : 0u);
-    for (const onepass::GhostCacheSpec &spec : family_.configs)
-        if (spec.blockBytes < l1_block)
-            mlc_panic("mrc::StreamingProfiler: family member ",
-                      spec.toString(),
-                      " has a smaller block than the ", l1_block,
-                      "B first-level block, which the hierarchy "
-                      "disallows");
-
-    const onepass::GhostPolicies policies =
-        onepass::GhostPolicies::fromLevel(
-            params.levels[0], maxAssoc(family_.configs));
-    if (opts_.solo)
-        solo_ = std::make_unique<SampledGhostForest>(
-            family_.configs, policies, opts_.sampler);
-
-    if (opts_.faBound) {
-        const std::vector<onepass::BlockGroup> groups =
-            onepass::blockGroups(family_.configs);
-        faOfConfig_.resize(family_.configs.size());
-        fa_.reserve(groups.size());
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-            fa_.emplace_back(groups[g].blockBytes, opts_.sampler);
-            for (std::size_t m : groups[g].members)
-                faOfConfig_[m] = g;
-        }
-    }
-}
-
-void
-StreamingProfiler::step(const trace::MemRef &ref)
-{
-    if (steps_ == warmup_) {
-        filter_.resetCounts();
-        filtered_.resetCounts();
-        if (solo_)
-            solo_->resetCounts();
-        // FA analyzers span the whole stream, as in the exact
-        // engine: a stack-distance profile has no tag state to
-        // warm.
-    }
-    ++steps_;
-    Sink sink{filtered_};
-    filter_.step(ref, sink);
-    if (solo_)
-        solo_->soloAccess(ref);
-    for (SampledStackDistance &a : fa_)
-        a.access(ref.addr);
-}
-
-onepass::TraceProfile
-StreamingProfiler::finish()
-{
-    onepass::TraceProfile out;
-    out.instructions = filter_.instructions();
-    out.ifetches = filter_.ifetches();
-    out.loads = filter_.loads();
-    out.stores = filter_.stores();
-    out.l1ReadRequests = filter_.l1ReadRequests();
-    out.l1ReadMisses = filter_.l1ReadMisses();
-    out.configs.resize(family_.configs.size());
-    for (std::size_t i = 0; i < family_.configs.size(); ++i) {
-        onepass::ConfigProfile &cp = out.configs[i];
-        cp.spec = family_.configs[i];
-        cp.filtered = filtered_.counts(i);
-        if (solo_)
-            cp.solo = solo_->counts(i);
-        if (opts_.faBound) {
-            const SampledStackDistance &a = fa_[faOfConfig_[i]];
-            cp.faMissRatio = a.missRatio(cp.spec.sizeBytes /
-                                         cp.spec.blockBytes);
-            cp.faCompulsory = static_cast<std::uint64_t>(
-                std::llround(a.infiniteWeight()));
-        }
-    }
-    return out;
-}
-
 onepass::TraceProfile
 profileTrace(const hier::HierarchyParams &base,
              const onepass::FamilySpec &family, trace::RefSpan refs,
              std::uint64_t warmup_refs, const MrcOptions &opts)
 {
-    StreamingProfiler prof(base, family, warmup_refs, opts);
-    for (std::size_t i = 0; i < refs.size; ++i)
-        prof.step(refs[i]);
-    return prof.finish();
+    onepass::Pipeline<SampledSinks> pipe(base, {}, family, warmup_refs,
+                                         opts.solo, opts.faBound,
+                                         SampledSinks{opts.sampler});
+    pipe.feedAll(refs);
+    return std::move(pipe.finish().front());
 }
 
 onepass::TraceProfile
@@ -190,20 +41,21 @@ profileMapped(const hier::HierarchyParams &base,
               std::uint64_t warmup_refs, const MrcOptions &opts)
 {
     mapped.adviseSequential();
-    StreamingProfiler prof(base, family, warmup_refs, opts);
+    onepass::Pipeline<SampledSinks> pipe(base, {}, family, warmup_refs,
+                                         opts.solo, opts.faBound,
+                                         SampledSinks{opts.sampler});
     const trace::RefSpan all = mapped.span();
     const std::size_t chunk =
         opts.streamChunkRefs == 0
-            ? (all.size == 0 ? 1 : all.size)
+            ? std::max<std::size_t>(all.size, 1)
             : static_cast<std::size_t>(opts.streamChunkRefs);
     for (std::size_t begin = 0; begin < all.size; begin += chunk) {
-        const std::size_t n = std::min(chunk, all.size - begin);
-        mapped.validateRange(begin, n);
-        for (std::size_t j = 0; j < n; ++j)
-            prof.step(all[begin + j]);
-        mapped.releaseConsumed(begin + n);
+        const trace::RefSpan part = all.dropFirst(begin).first(chunk);
+        mapped.validateRange(begin, part.size);
+        pipe.feed(part);
+        mapped.releaseConsumed(begin + part.size);
     }
-    return prof.finish();
+    return std::move(pipe.finish().front());
 }
 
 std::vector<onepass::TraceProfile>
@@ -230,136 +82,11 @@ profileCascadeTrace(const hier::HierarchyParams &base,
                     trace::RefSpan refs, std::uint64_t warmup_refs,
                     const MrcOptions &opts)
 {
-    if (family.pivots.empty())
-        mlc_panic("mrc::profileCascadeTrace: empty pivot family");
-    if (family.l3.configs.empty())
-        mlc_panic("mrc::profileCascadeTrace: empty downstream "
-                  "family");
-
-    onepass::L1Filter filter(base);
-    const hier::HierarchyParams &params = filter.params();
-    if (params.levels.size() < 2)
-        mlc_panic("mrc::profileCascadeTrace: the base machine needs "
-                  "at least two downstream levels (a pivot position "
-                  "and the profiled family's position); it has ",
-                  params.levels.size());
-
-    const std::uint32_t l1_block = std::max(
-        params.l1d.geometry.blockBytes,
-        params.splitL1 ? params.l1i.geometry.blockBytes : 0u);
-    std::uint32_t max_pivot_block = 4;
-    for (const onepass::GhostCacheSpec &pivot : family.pivots) {
-        if (pivot.blockBytes < l1_block || pivot.blockBytes < 4)
-            mlc_panic("mrc::profileCascadeTrace: pivot ",
-                      pivot.toString(), " has a smaller block than "
-                      "the hierarchy allows");
-        max_pivot_block =
-            std::max(max_pivot_block, pivot.blockBytes);
-    }
-    for (const onepass::GhostCacheSpec &spec : family.l3.configs)
-        if (spec.blockBytes < max_pivot_block)
-            mlc_panic("mrc::profileCascadeTrace: downstream member ",
-                      spec.toString(),
-                      " has a smaller block than the widest ",
-                      max_pivot_block, "B pivot block, which the "
-                      "hierarchy disallows");
-
-    const onepass::GhostPolicies pivot_pol =
-        onepass::GhostPolicies::fromLevel(params.levels[0],
-                                          maxAssoc(family.pivots));
-    const onepass::GhostPolicies l3_pol =
-        onepass::GhostPolicies::fromLevel(
-            params.levels[1], maxAssoc(family.l3.configs));
-
-    const std::size_t n3 = family.l3.configs.size();
-    std::vector<SampledStackDistance> fa;
-    std::vector<std::size_t> fa_of_config;
-    if (opts.faBound) {
-        const std::vector<onepass::BlockGroup> groups =
-            onepass::blockGroups(family.l3.configs);
-        fa_of_config.resize(n3);
-        fa.reserve(groups.size());
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-            fa.emplace_back(groups[g].blockBytes, opts.sampler);
-            for (std::size_t m : groups[g].members)
-                fa_of_config[m] = g;
-        }
-    }
-    std::unique_ptr<SampledGhostForest> pivot_solo, member_solo;
-    if (opts.solo) {
-        pivot_solo = std::make_unique<SampledGhostForest>(
-            family.pivots, pivot_pol, opts.sampler);
-        member_solo = std::make_unique<SampledGhostForest>(
-            family.l3.configs, l3_pol, opts.sampler);
-    }
-
-    // Phase 1: one exact serial L1 replay into the shared log; the
-    // sampled solo forests and FA analyzers ride the same loop (FA
-    // spans the whole stream, as everywhere else).
-    onepass::FilteredEventLog l1log;
-    l1log.warmEvents = onepass::FilteredEventLog::kNoBoundary;
-    l1log.events.reserve(refs.size / 8);
-    for (std::size_t i = 0; i < refs.size; ++i) {
-        if (i == warmup_refs) {
-            filter.resetCounts();
-            if (opts.solo) {
-                pivot_solo->resetCounts();
-                member_solo->resetCounts();
-            }
-            l1log.warmEvents = l1log.events.size();
-        }
-        filter.step(refs[i], l1log);
-        if (opts.solo) {
-            pivot_solo->soloAccess(refs[i]);
-            member_solo->soloAccess(refs[i]);
-        }
-        for (SampledStackDistance &a : fa)
-            a.access(refs[i].addr);
-    }
-
-    // Phase 2: per pivot, one exact CascadeFilter replay of the L1
-    // log (the pivot's own counts need no sampling — its state is
-    // one real L2's), then a sampled forest over the much smaller
-    // L2-filtered log for the member family.
-    std::vector<onepass::TraceProfile> out(family.pivots.size());
-    onepass::FilteredEventLog l2log;
-    for (std::size_t p = 0; p < family.pivots.size(); ++p) {
-        onepass::CascadeFilter cascade(params, family.pivots[p]);
-        onepass::filterEventLog(l1log, cascade, l2log);
-
-        SampledGhostForest forest(family.l3.configs, l3_pol,
-                                  opts.sampler);
-        replayLog(l2log, forest);
-
-        onepass::TraceProfile &tp = out[p];
-        tp.instructions = filter.instructions();
-        tp.ifetches = filter.ifetches();
-        tp.loads = filter.loads();
-        tp.stores = filter.stores();
-        tp.l1ReadRequests = filter.l1ReadRequests();
-        tp.l1ReadMisses = filter.l1ReadMisses();
-        tp.pivotChain.push_back(
-            {family.pivots[p], cascade.counts(),
-             opts.solo ? pivot_solo->counts(p)
-                       : onepass::GhostCounts{}});
-        tp.configs.resize(n3);
-        for (std::size_t m = 0; m < n3; ++m) {
-            onepass::ConfigProfile &cp = tp.configs[m];
-            cp.spec = family.l3.configs[m];
-            cp.filtered = forest.counts(m);
-            if (opts.solo)
-                cp.solo = member_solo->counts(m);
-            if (opts.faBound) {
-                const SampledStackDistance &a =
-                    fa[fa_of_config[m]];
-                cp.faMissRatio = a.missRatio(cp.spec.sizeBytes /
-                                             cp.spec.blockBytes);
-                cp.faCompulsory = static_cast<std::uint64_t>(
-                    std::llround(a.infiniteWeight()));
-            }
-        }
-    }
-    return out;
+    onepass::Pipeline<SampledSinks> pipe(
+        base, family.pivots, family.l3, warmup_refs, opts.solo,
+        opts.faBound, SampledSinks{opts.sampler});
+    pipe.feedAll(refs);
+    return pipe.finish();
 }
 
 std::vector<onepass::TraceProfile>

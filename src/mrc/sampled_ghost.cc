@@ -111,19 +111,10 @@ SampledGhostForest::SampledGhostForest(
                   " outside (0, 1]; use 1.0 for exact");
     members_.reserve(specs_.size());
     counts_.resize(specs_.size());
-    for (std::size_t i = 0; i < specs_.size(); ++i) {
-        members_.push_back(makeMember(specs_[i], sampler));
-        const unsigned shift = exactLog2(specs_[i].blockBytes);
-        Group *group = nullptr;
-        for (Group &g : groups_)
-            if (g.blockShift == shift)
-                group = &g;
-        if (!group) {
-            groups_.push_back({shift, {}});
-            group = &groups_.back();
-        }
-        group->members.push_back(i);
-    }
+    for (const onepass::GhostCacheSpec &spec : specs_)
+        members_.push_back(makeMember(spec, sampler));
+    for (const onepass::BlockGroup &g : onepass::blockGroups(specs_))
+        groups_.push_back({exactLog2(g.blockBytes), g.members});
 }
 
 void

@@ -1,9 +1,6 @@
 #include "onepass/cascade.hh"
 
-#include <algorithm>
-
-#include "onepass/l1_filter.hh"
-#include "trace/stack_distance.hh"
+#include "onepass/pipeline.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -33,23 +30,6 @@ pivotParams(const hier::HierarchyParams &base,
     p.fetchBytes = pivot.blockBytes;
     p.finalize();
     return p;
-}
-
-std::uint32_t
-maxAssoc(const std::vector<GhostCacheSpec> &specs)
-{
-    std::uint32_t m = 1;
-    for (const GhostCacheSpec &spec : specs)
-        m = std::max(m, spec.assoc);
-    return m;
-}
-
-bool
-sameCounts(const GhostCounts &a, const GhostCounts &b)
-{
-    return a.reads == b.reads && a.readMisses == b.readMisses &&
-           a.extraAccesses == b.extraAccesses &&
-           a.extraMisses == b.extraMisses;
 }
 
 } // namespace
@@ -85,32 +65,28 @@ filterEventLog(const FilteredEventLog &in, CascadeFilter &filter,
     out.events.clear();
     out.events.reserve(in.events.size() / 4);
     out.warmEvents = FilteredEventLog::kNoBoundary;
-    for (std::size_t i = 0; i < in.events.size(); ++i) {
-        if (i == in.warmEvents) {
-            filter.resetCounts();
-            out.warmEvents = out.events.size();
+    struct Stage
+    {
+        CascadeFilter &pivot;
+        FilteredEventLog &next;
+
+        void
+        onRead(Addr addr, bool counted)
+        {
+            pivot.onRead(addr, counted, next);
         }
-        const std::uint64_t word = in.events[i];
-        const Addr addr = word & ~FilteredEventLog::kKindMask;
-        switch (word & FilteredEventLog::kKindMask) {
-          case FilteredEventLog::ReadCounted:
-            filter.onRead(addr, true, out);
-            break;
-          case FilteredEventLog::ReadUncounted:
-            filter.onRead(addr, false, out);
-            break;
-          default:
-            filter.onWrite(addr, out);
-            break;
+        void onWrite(Addr addr) { pivot.onWrite(addr, next); }
+        // The warm boundary transfers downstream, past-the-end
+        // included: a warm point after the last upstream event
+        // still zeroes every downstream count.
+        void
+        onWarm()
+        {
+            pivot.resetCounts();
+            next.warmEvents = next.events.size();
         }
-    }
-    // The boundary may lie past the last upstream event (short
-    // streams): the warm point still zeroes everything downstream.
-    if (in.warmEvents != FilteredEventLog::kNoBoundary &&
-        in.warmEvents >= in.events.size()) {
-        filter.resetCounts();
-        out.warmEvents = out.events.size();
-    }
+    };
+    visitEvents(in, Stage{filter, out});
 }
 
 std::vector<TraceProfile>
@@ -119,156 +95,11 @@ profileCascadeTrace(const hier::HierarchyParams &base,
                     trace::RefSpan refs, std::uint64_t warmup_refs,
                     const ProfileOptions &opts)
 {
-    if (family.pivots.empty())
-        mlc_panic("profileCascadeTrace: empty pivot family");
-    if (family.l3.configs.empty())
-        mlc_panic("profileCascadeTrace: empty downstream family");
-
-    L1Filter filter(base);
-    const hier::HierarchyParams &params = filter.params();
-    if (params.levels.size() < 2)
-        mlc_panic("profileCascadeTrace: the base machine needs at "
-                  "least two downstream levels (a pivot position "
-                  "and the profiled family's position); it has ",
-                  params.levels.size());
-
-    const std::uint32_t l1_block = std::max(
-        params.l1d.geometry.blockBytes,
-        params.splitL1 ? params.l1i.geometry.blockBytes : 0u);
-    std::uint32_t max_pivot_block = 4;
-    for (const GhostCacheSpec &pivot : family.pivots) {
-        if (pivot.blockBytes < l1_block)
-            mlc_panic("profileCascadeTrace: pivot ",
-                      pivot.toString(),
-                      " has a smaller block than the ", l1_block,
-                      "B first-level block, which the hierarchy "
-                      "disallows");
-        if (pivot.blockBytes < 4)
-            mlc_panic("profileCascadeTrace: pivot ",
-                      pivot.toString(),
-                      " has a block under 4 bytes; the event log "
-                      "packs the event kind into the low two "
-                      "address bits");
-        max_pivot_block = std::max(max_pivot_block,
-                                   pivot.blockBytes);
-    }
-    for (const GhostCacheSpec &spec : family.l3.configs)
-        if (spec.blockBytes < max_pivot_block)
-            mlc_panic("profileCascadeTrace: downstream member ",
-                      spec.toString(),
-                      " has a smaller block than the widest ",
-                      max_pivot_block, "B pivot block, which the "
-                      "hierarchy disallows");
-
-    const GhostPolicies pivot_pol = GhostPolicies::fromLevel(
-        params.levels[0], maxAssoc(family.pivots));
-    const GhostPolicies l3_pol = GhostPolicies::fromLevel(
-        params.levels[1], maxAssoc(family.l3.configs));
-
-    // FA-bound analyzers span the whole stream (see profileTrace).
-    struct FaState
-    {
-        std::uint32_t blockBytes;
-        trace::StackDistanceAnalyzer analyzer;
-    };
-    const std::size_t n3 = family.l3.configs.size();
-    std::vector<FaState> fa;
-    std::vector<std::size_t> fa_of_config(n3, 0);
-    if (opts.faBound) {
-        for (std::size_t m = 0; m < n3; ++m) {
-            const std::uint32_t bb =
-                family.l3.configs[m].blockBytes;
-            std::size_t g = fa.size();
-            for (std::size_t k = 0; k < fa.size(); ++k)
-                if (fa[k].blockBytes == bb)
-                    g = k;
-            if (g == fa.size())
-                fa.push_back({bb, trace::StackDistanceAnalyzer(bb)});
-            fa_of_config[m] = g;
-        }
-    }
-
-    // --- Phase 1: one serial L1 replay into the shared log.
-    FilteredEventLog l1log;
-    l1log.warmEvents = FilteredEventLog::kNoBoundary;
-    l1log.events.reserve(refs.size / 8);
-    for (std::size_t i = 0; i < refs.size; ++i) {
-        if (i == warmup_refs) {
-            filter.resetCounts();
-            l1log.warmEvents = l1log.events.size();
-        }
-        filter.step(refs[i], l1log);
-        if (opts.faBound)
-            for (FaState &f : fa)
-                f.analyzer.access(refs[i].addr);
-    }
-
-    // Pivot-independent halves, computed once and shared: the solo
-    // sweeps (raw stream) and the L2 ghost forest over the L1 log,
-    // which doubles as the exactness invariant for every pivot.
-    std::vector<GhostCounts> pivot_solo, member_solo;
-    if (opts.solo) {
-        pivot_solo = sweepSoloStream(refs, warmup_refs,
-                                     family.pivots, pivot_pol,
-                                     opts.shards);
-        member_solo = sweepSoloStream(refs, warmup_refs,
-                                      family.l3.configs, l3_pol,
-                                      opts.shards);
-    }
-    const std::vector<GhostCounts> pivot_forest =
-        sweepEventLog(l1log, family.pivots, pivot_pol, opts.shards);
-
-    // --- Phase 2: per pivot, one exact filtered replay and one
-    // sharded ghost sweep of the much smaller L2-filtered log.
-    std::vector<TraceProfile> out(family.pivots.size());
-    FilteredEventLog l2log;
-    for (std::size_t p = 0; p < family.pivots.size(); ++p) {
-        CascadeFilter cascade(params, family.pivots[p]);
-        filterEventLog(l1log, cascade, l2log);
-
-        // The pivot is both exactly replayed (CascadeFilter) and
-        // ghost-modelled (the L2 forest): the two are provably the
-        // same sequence, so their counts must agree bit for bit.
-        if (!sameCounts(cascade.counts(), pivot_forest[p]))
-            mlc_panic("profileCascadeTrace: pivot ",
-                      family.pivots[p].toString(),
-                      " exact replay disagrees with the L2 ghost "
-                      "forest (", cascade.counts().readMisses, "/",
-                      cascade.counts().reads, " vs ",
-                      pivot_forest[p].readMisses, "/",
-                      pivot_forest[p].reads,
-                      " read misses/requests)");
-
-        const std::vector<GhostCounts> filtered = sweepEventLog(
-            l2log, family.l3.configs, l3_pol, opts.shards);
-
-        TraceProfile &tp = out[p];
-        tp.instructions = filter.instructions();
-        tp.ifetches = filter.ifetches();
-        tp.loads = filter.loads();
-        tp.stores = filter.stores();
-        tp.l1ReadRequests = filter.l1ReadRequests();
-        tp.l1ReadMisses = filter.l1ReadMisses();
-        tp.pivotChain.push_back(
-            {family.pivots[p], cascade.counts(),
-             opts.solo ? pivot_solo[p] : GhostCounts{}});
-        tp.configs.resize(n3);
-        for (std::size_t m = 0; m < n3; ++m) {
-            ConfigProfile &cp = tp.configs[m];
-            cp.spec = family.l3.configs[m];
-            cp.filtered = filtered[m];
-            if (opts.solo)
-                cp.solo = member_solo[m];
-            if (opts.faBound) {
-                const trace::StackDistanceAnalyzer &a =
-                    fa[fa_of_config[m]].analyzer;
-                cp.faMissRatio = a.missRatio(cp.spec.sizeBytes /
-                                             cp.spec.blockBytes);
-                cp.faCompulsory = a.infiniteCount();
-            }
-        }
-    }
-    return out;
+    Pipeline<ExactSinks> pipe(base, family.pivots, family.l3,
+                              warmup_refs, opts.solo, opts.faBound,
+                              ExactSinks{opts.shards});
+    pipe.feedAll(refs);
+    return pipe.finish();
 }
 
 std::vector<TraceProfile>

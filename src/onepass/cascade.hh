@@ -146,12 +146,6 @@ class CascadeFilter
      *  reads in reads/readMisses, uncounted in extra*. */
     const GhostCounts &counts() const { return counts_; }
 
-    /** The pivot's finalized cache parameters. */
-    const cache::CacheParams &params() const
-    {
-        return cache_.params();
-    }
-
   private:
     cache::Cache cache_;
     cache::AccessOutcome outcome_;
@@ -172,9 +166,9 @@ void filterEventLog(const FilteredEventLog &in,
                     CascadeFilter &filter, FilteredEventLog &out);
 
 /**
- * Profile the joint family over one trace: one serial L1 replay,
- * one CascadeFilter replay per pivot, one sharded ghost sweep of
- * each L2-filtered log. Returns one TraceProfile per pivot, in
+ * Profile the joint family over one trace through the pipeline
+ * (pipeline.hh) with one CascadeFilter stage per pivot. Returns one
+ * TraceProfile per pivot, in
  * pivot order: configs covers the L3 family and pivotChain carries
  * the pivot's spec and exact counts (plus solo counts under
  * ProfileOptions::solo; member solo and FA-bound outputs are

@@ -1,64 +1,13 @@
 #include "onepass/engine.hh"
 
-#include <algorithm>
 #include <utility>
 
-#include "onepass/l1_filter.hh"
-#include "onepass/sharded.hh"
-#include "trace/stack_distance.hh"
+#include "onepass/pipeline.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
 namespace mlc {
 namespace onepass {
-
-namespace {
-
-/** Routes L1Filter events into a GhostTagForest. */
-struct ForestSink
-{
-    GhostTagForest &forest;
-
-    void
-    onRead(Addr addr, bool counted)
-    {
-        forest.read(addr, counted);
-    }
-    void
-    onWrite(Addr addr)
-    {
-        forest.write(addr);
-    }
-};
-
-std::uint32_t
-maxAssoc(const std::vector<GhostCacheSpec> &configs)
-{
-    std::uint32_t m = 1;
-    for (const GhostCacheSpec &spec : configs)
-        m = std::max(m, spec.assoc);
-    return m;
-}
-
-} // namespace
-
-std::vector<BlockGroup>
-blockGroups(const std::vector<GhostCacheSpec> &configs)
-{
-    std::vector<BlockGroup> groups;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        BlockGroup *g = nullptr;
-        for (BlockGroup &cand : groups)
-            if (cand.blockBytes == configs[i].blockBytes)
-                g = &cand;
-        if (!g) {
-            groups.push_back({configs[i].blockBytes, {}});
-            g = &groups.back();
-        }
-        g->members.push_back(i);
-    }
-    return groups;
-}
 
 std::string
 FamilySpec::key() const
@@ -126,94 +75,11 @@ profileTrace(const hier::HierarchyParams &base,
              const FamilySpec &family, trace::RefSpan refs,
              std::uint64_t warmup_refs, const ProfileOptions &opts)
 {
-    if (opts.shards > 1)
-        return profileTraceSharded(base, family, refs, warmup_refs,
-                                   opts);
-    if (family.configs.empty())
-        mlc_panic("profileTrace: empty cache family");
-
-    L1Filter filter(base);
-    const hier::HierarchyParams &params = filter.params();
-    if (params.levels.empty())
-        mlc_panic("profileTrace: the base machine has no downstream "
-                  "level for the family to stand in for");
-
-    const std::uint32_t l1_block = std::max(
-        params.l1d.geometry.blockBytes,
-        params.splitL1 ? params.l1i.geometry.blockBytes : 0u);
-    for (const GhostCacheSpec &spec : family.configs)
-        if (spec.blockBytes < l1_block)
-            mlc_panic("profileTrace: family member ", spec.toString(),
-                      " has a smaller block than the ", l1_block,
-                      "B first-level block, which the hierarchy "
-                      "disallows");
-
-    const GhostPolicies policies = GhostPolicies::fromLevel(
-        params.levels[0], maxAssoc(family.configs));
-    GhostTagForest filtered(family.configs, policies);
-    ForestSink sink{filtered};
-
-    std::unique_ptr<GhostTagForest> solo;
-    if (opts.solo)
-        solo = std::make_unique<GhostTagForest>(family.configs,
-                                                policies);
-
-    // One fully-associative profiler per distinct block size.
-    std::vector<BlockGroup> fa_groups;
-    std::vector<trace::StackDistanceAnalyzer> fa;
-    std::vector<std::size_t> fa_of_config(family.configs.size());
-    if (opts.faBound) {
-        fa_groups = blockGroups(family.configs);
-        fa.reserve(fa_groups.size());
-        for (std::size_t g = 0; g < fa_groups.size(); ++g) {
-            fa.emplace_back(fa_groups[g].blockBytes);
-            for (std::size_t m : fa_groups[g].members)
-                fa_of_config[m] = g;
-        }
-    }
-
-    for (std::size_t i = 0; i < refs.size; ++i) {
-        if (i == warmup_refs) {
-            filter.resetCounts();
-            filtered.resetCounts();
-            if (solo)
-                solo->resetCounts();
-            // The FA analyzers deliberately keep counting across
-            // the boundary: a stack-distance profile has no tag
-            // state to warm, and missRatio() is documented as a
-            // whole-stream diagnostic.
-        }
-        const trace::MemRef &ref = refs[i];
-        filter.step(ref, sink);
-        if (solo)
-            solo->soloAccess(ref);
-        for (trace::StackDistanceAnalyzer &a : fa)
-            a.access(ref.addr);
-    }
-
-    TraceProfile out;
-    out.instructions = filter.instructions();
-    out.ifetches = filter.ifetches();
-    out.loads = filter.loads();
-    out.stores = filter.stores();
-    out.l1ReadRequests = filter.l1ReadRequests();
-    out.l1ReadMisses = filter.l1ReadMisses();
-    out.configs.resize(family.configs.size());
-    for (std::size_t i = 0; i < family.configs.size(); ++i) {
-        ConfigProfile &cp = out.configs[i];
-        cp.spec = family.configs[i];
-        cp.filtered = filtered.counts(i);
-        if (solo)
-            cp.solo = solo->counts(i);
-        if (opts.faBound) {
-            const trace::StackDistanceAnalyzer &a =
-                fa[fa_of_config[i]];
-            cp.faMissRatio = a.missRatio(cp.spec.sizeBytes /
-                                         cp.spec.blockBytes);
-            cp.faCompulsory = a.infiniteCount();
-        }
-    }
-    return out;
+    Pipeline<ExactSinks> pipe(base, {}, family, warmup_refs,
+                              opts.solo, opts.faBound,
+                              ExactSinks{opts.shards});
+    pipe.feedAll(refs);
+    return std::move(pipe.finish().front());
 }
 
 std::vector<TraceProfile>

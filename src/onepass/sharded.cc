@@ -1,180 +1,74 @@
 #include "onepass/sharded.hh"
 
 #include <algorithm>
-#include <limits>
 
-#include "onepass/l1_filter.hh"
-#include "trace/stack_distance.hh"
-#include "util/bits.hh"
-#include "util/logging.hh"
 #include "util/thread_pool.hh"
 
 namespace mlc {
 namespace onepass {
 
-namespace {
-
-constexpr std::size_t kNoBoundary =
-    std::numeric_limits<std::size_t>::max();
-
-/** Set-ownership geometry of one family member: member m is split
- *  min(shards, sets_m) ways, shard r owning sets {r, r+S_m, ...}
- *  with shard-local row index set / S_m. */
-struct MemberGeom
+ShardedForest::ShardedForest(const std::vector<GhostCacheSpec> &specs,
+                             const GhostPolicies &policies,
+                             std::size_t shards)
 {
-    std::uint64_t setMask = 0;
-    std::uint64_t shardCount = 1; //!< S_m = min(shards, sets)
-    std::uint64_t localSets = 1;  //!< ceil(sets / S_m)
-    std::uint32_t ways = 1;
-    FixedDivisor bySm{1};
-};
-
-/** Configs sharing one block size, so the byte-address shift
- *  happens once per group per event (mirrors GhostTagForest). */
-struct ShardGroup
-{
-    unsigned blockShift;
-    std::vector<std::size_t> members;
-};
-
-std::vector<ShardGroup>
-shardGroups(const std::vector<GhostCacheSpec> &configs)
-{
-    std::vector<ShardGroup> groups;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        const unsigned shift = exactLog2(configs[i].blockBytes);
-        ShardGroup *g = nullptr;
-        for (ShardGroup &cand : groups)
-            if (cand.blockShift == shift)
-                g = &cand;
-        if (!g) {
-            groups.push_back({shift, {}});
-            g = &groups.back();
-        }
-        g->members.push_back(i);
-    }
-    return groups;
+    shards = std::max<std::size_t>(1, shards);
+    slices_.reserve(shards);
+    for (std::size_t s = 0; s < shards; ++s)
+        slices_.emplace_back(specs, policies, s, shards);
 }
 
-void
-addCounts(GhostCounts &into, const GhostCounts &from)
+GhostCounts
+ShardedForest::counts(std::size_t m) const
 {
-    into.reads += from.reads;
-    into.readMisses += from.readMisses;
-    into.extraAccesses += from.extraAccesses;
-    into.extraMisses += from.extraMisses;
-}
-
-std::vector<MemberGeom>
-memberGeoms(const std::vector<GhostCacheSpec> &configs,
-            std::size_t shards)
-{
-    std::vector<MemberGeom> geoms(configs.size());
-    for (std::size_t m = 0; m < configs.size(); ++m) {
-        const GhostCacheSpec &spec = configs[m];
-        const std::uint64_t sets =
-            spec.sizeBytes /
-            (static_cast<std::uint64_t>(spec.assoc) *
-             spec.blockBytes);
-        MemberGeom &g = geoms[m];
-        g.setMask = sets - 1;
-        g.shardCount = std::min<std::uint64_t>(shards, sets);
-        g.localSets = divCeil(sets, g.shardCount);
-        g.ways = spec.assoc;
-        g.bySm = FixedDivisor(g.shardCount);
+    // The slices partition every count and the sum runs in fixed
+    // slice order, so the integers equal the whole forest's for any
+    // shard count.
+    GhostCounts sum;
+    for (const GhostTagForest &slice : slices_) {
+        const GhostCounts &c = slice.counts(m);
+        sum.reads += c.reads;
+        sum.readMisses += c.readMisses;
+        sum.extraAccesses += c.extraAccesses;
+        sum.extraMisses += c.extraMisses;
     }
-    return geoms;
+    return sum;
 }
 
 std::vector<GhostCounts>
-mergeShardCounts(const std::vector<std::vector<GhostCounts>> &per,
-                 std::size_t n)
+ShardedForest::counts() const
 {
-    // Fixed (member-major, shard-minor) order: the shards partition
-    // every scalar count, so the integer sums are bit-identical to
-    // the scalar forest for any shard count.
-    std::vector<GhostCounts> out(n);
-    for (std::size_t m = 0; m < n; ++m)
-        for (const std::vector<GhostCounts> &shard : per)
-            addCounts(out[m], shard[m]);
+    std::vector<GhostCounts> out(slices_.front().specs().size());
+    for (std::size_t m = 0; m < out.size(); ++m)
+        out[m] = counts(m);
     return out;
 }
 
-} // namespace
+void
+sweep(ShardedForest &forest, const FilteredEventLog &log)
+{
+    std::vector<GhostTagForest> &slices = forest.slices_;
+    parallelFor(slices.size(), slices.size(),
+                [&](std::size_t s) { sweep(slices[s], log); });
+}
+
+void
+sweepSolo(ShardedForest &forest, trace::RefSpan refs,
+          std::size_t warm_at)
+{
+    std::vector<GhostTagForest> &slices = forest.slices_;
+    parallelFor(slices.size(), slices.size(), [&](std::size_t s) {
+        sweepSolo(slices[s], refs, warm_at);
+    });
+}
 
 std::vector<GhostCounts>
 sweepEventLog(const FilteredEventLog &log,
               const std::vector<GhostCacheSpec> &configs,
               const GhostPolicies &policies, std::size_t shards)
 {
-    const std::size_t n = configs.size();
-    shards = std::max<std::size_t>(1, shards);
-    const std::vector<MemberGeom> geoms =
-        memberGeoms(configs, shards);
-    const std::vector<ShardGroup> groups = shardGroups(configs);
-    const bool write_allocates =
-        policies.downstreamWriteMiss ==
-        cache::DownstreamWriteMissPolicy::Allocate;
-
-    std::vector<std::vector<GhostCounts>> results(shards);
-    parallelFor(shards, shards, [&](std::size_t s) {
-        std::vector<GhostCounts> &counts = results[s];
-        std::vector<GhostTagArray> arrays;
-        arrays.reserve(n);
-        for (const MemberGeom &g : geoms)
-            arrays.emplace_back(g.localSets, g.ways);
-        counts.assign(n, GhostCounts{});
-
-        for (std::size_t idx = 0; idx < log.events.size(); ++idx) {
-            if (idx == log.warmEvents)
-                counts.assign(n, GhostCounts{});
-            const std::uint64_t word = log.events[idx];
-            const std::uint64_t kind =
-                word & FilteredEventLog::kKindMask;
-            const Addr addr = word & ~FilteredEventLog::kKindMask;
-            for (const ShardGroup &grp : groups) {
-                const std::uint64_t block = addr >> grp.blockShift;
-                for (std::size_t m : grp.members) {
-                    const MemberGeom &g = geoms[m];
-                    const std::uint64_t set = block & g.setMask;
-                    const std::uint64_t q = g.bySm.div(set);
-                    if (set - q * g.shardCount != s)
-                        continue;
-                    GhostCounts &c = counts[m];
-                    switch (kind) {
-                      case FilteredEventLog::ReadCounted: {
-                        const bool hit =
-                            arrays[m].touchOrInstallAt(q, block);
-                        ++c.reads;
-                        if (!hit)
-                            ++c.readMisses;
-                        break;
-                      }
-                      case FilteredEventLog::ReadUncounted: {
-                        const bool hit =
-                            arrays[m].touchOrInstallAt(q, block);
-                        ++c.extraAccesses;
-                        if (!hit)
-                            ++c.extraMisses;
-                        break;
-                      }
-                      default: // Write
-                        if (write_allocates)
-                            arrays[m].touchOrInstallAt(q, block);
-                        else
-                            arrays[m].touchOnlyAt(q, block);
-                        break;
-                    }
-                }
-            }
-        }
-
-        // The boundary may lie past the last event (short streams).
-        if (log.warmEvents != kNoBoundary &&
-            log.warmEvents >= log.events.size())
-            counts.assign(n, GhostCounts{});
-    });
-    return mergeShardCounts(results, n);
+    ShardedForest forest(configs, policies, shards);
+    sweep(forest, log);
+    return forest.counts();
 }
 
 std::vector<GhostCounts>
@@ -182,179 +76,9 @@ sweepSoloStream(trace::RefSpan refs, std::uint64_t warmup_refs,
                 const std::vector<GhostCacheSpec> &configs,
                 const GhostPolicies &policies, std::size_t shards)
 {
-    const std::size_t n = configs.size();
-    shards = std::max<std::size_t>(1, shards);
-    const std::vector<MemberGeom> geoms =
-        memberGeoms(configs, shards);
-    const std::vector<ShardGroup> groups = shardGroups(configs);
-    const bool store_allocates =
-        policies.alloc == cache::AllocPolicy::WriteAllocate;
-
-    std::vector<std::vector<GhostCounts>> results(shards);
-    parallelFor(shards, shards, [&](std::size_t s) {
-        std::vector<GhostCounts> &counts = results[s];
-        std::vector<GhostTagArray> solo_arrays;
-        solo_arrays.reserve(n);
-        for (const MemberGeom &g : geoms)
-            solo_arrays.emplace_back(g.localSets, g.ways);
-        counts.assign(n, GhostCounts{});
-        for (std::size_t i = 0; i < refs.size; ++i) {
-            if (i == warmup_refs)
-                counts.assign(n, GhostCounts{});
-            const trace::MemRef &ref = refs[i];
-            for (const ShardGroup &grp : groups) {
-                const std::uint64_t block =
-                    ref.addr >> grp.blockShift;
-                for (std::size_t m : grp.members) {
-                    const MemberGeom &g = geoms[m];
-                    const std::uint64_t set = block & g.setMask;
-                    const std::uint64_t q = g.bySm.div(set);
-                    if (set - q * g.shardCount != s)
-                        continue;
-                    GhostCounts &c = counts[m];
-                    if (ref.isRead()) {
-                        const bool hit =
-                            solo_arrays[m].touchOrInstallAt(q,
-                                                            block);
-                        ++c.reads;
-                        if (!hit)
-                            ++c.readMisses;
-                    } else {
-                        // Mirrors GhostTagForest::soloAccess: a
-                        // store miss allocates only under
-                        // write-allocate.
-                        const bool hit =
-                            store_allocates
-                                ? solo_arrays[m].touchOrInstallAt(
-                                      q, block)
-                                : solo_arrays[m].touchOnlyAt(q,
-                                                             block);
-                        ++c.extraAccesses;
-                        if (!hit)
-                            ++c.extraMisses;
-                    }
-                }
-            }
-        }
-    });
-    return mergeShardCounts(results, n);
-}
-
-TraceProfile
-profileTraceSharded(const hier::HierarchyParams &base,
-                    const FamilySpec &family, trace::RefSpan refs,
-                    std::uint64_t warmup_refs,
-                    const ProfileOptions &opts)
-{
-    if (family.configs.empty())
-        mlc_panic("profileTrace: empty cache family");
-    const std::size_t shards = std::max<std::size_t>(1, opts.shards);
-
-    L1Filter filter(base);
-    const hier::HierarchyParams &params = filter.params();
-    if (params.levels.empty())
-        mlc_panic("profileTrace: the base machine has no downstream "
-                  "level for the family to stand in for");
-
-    const std::uint32_t l1_block = std::max(
-        params.l1d.geometry.blockBytes,
-        params.splitL1 ? params.l1i.geometry.blockBytes : 0u);
-    for (const GhostCacheSpec &spec : family.configs) {
-        if (spec.blockBytes < l1_block)
-            mlc_panic("profileTrace: family member ",
-                      spec.toString(),
-                      " has a smaller block than the ", l1_block,
-                      "B first-level block, which the hierarchy "
-                      "disallows");
-        if (spec.blockBytes < 4)
-            mlc_panic("sharded profile: family member ",
-                      spec.toString(),
-                      " has a block under 4 bytes; the event log "
-                      "packs the event kind into the low two "
-                      "address bits");
-    }
-
-    const GhostPolicies policies = GhostPolicies::fromLevel(
-        params.levels[0],
-        [&] {
-            std::uint32_t m = 1;
-            for (const GhostCacheSpec &spec : family.configs)
-                m = std::max(m, spec.assoc);
-            return m;
-        }());
-
-    const std::size_t n = family.configs.size();
-
-    // FA-bound analyzers span the whole stream (see profileTrace).
-    struct FaState
-    {
-        std::uint32_t blockBytes;
-        trace::StackDistanceAnalyzer analyzer;
-    };
-    std::vector<FaState> fa;
-    std::vector<std::size_t> fa_of_config(n, 0);
-    if (opts.faBound) {
-        for (std::size_t m = 0; m < n; ++m) {
-            const std::uint32_t bb = family.configs[m].blockBytes;
-            std::size_t g = fa.size();
-            for (std::size_t k = 0; k < fa.size(); ++k)
-                if (fa[k].blockBytes == bb)
-                    g = k;
-            if (g == fa.size())
-                fa.push_back({bb, trace::StackDistanceAnalyzer(bb)});
-            fa_of_config[m] = g;
-        }
-    }
-
-    // --- Phase 1: one serial L1 replay, recording the departing
-    // event stream instead of applying it.
-    FilteredEventLog log;
-    log.warmEvents = kNoBoundary;
-    log.events.reserve(refs.size / 8); // miss streams are sparse
-    for (std::size_t i = 0; i < refs.size; ++i) {
-        if (i == warmup_refs) {
-            filter.resetCounts();
-            log.warmEvents = log.events.size();
-        }
-        filter.step(refs[i], log);
-        if (opts.faBound)
-            for (FaState &f : fa)
-                f.analyzer.access(refs[i].addr);
-    }
-
-    // --- Phase 2: every shard sweeps the log (and, for solo, the
-    // raw stream), touching only the sets it owns. State is
-    // disjoint by construction; no locks, no atomics.
-    const std::vector<GhostCounts> filtered =
-        sweepEventLog(log, family.configs, policies, shards);
-    const std::vector<GhostCounts> solo =
-        opts.solo ? sweepSoloStream(refs, warmup_refs,
-                                    family.configs, policies, shards)
-                  : std::vector<GhostCounts>();
-
-    TraceProfile out;
-    out.instructions = filter.instructions();
-    out.ifetches = filter.ifetches();
-    out.loads = filter.loads();
-    out.stores = filter.stores();
-    out.l1ReadRequests = filter.l1ReadRequests();
-    out.l1ReadMisses = filter.l1ReadMisses();
-    out.configs.resize(n);
-    for (std::size_t m = 0; m < n; ++m) {
-        ConfigProfile &cp = out.configs[m];
-        cp.spec = family.configs[m];
-        cp.filtered = filtered[m];
-        if (opts.solo)
-            cp.solo = solo[m];
-        if (opts.faBound) {
-            const trace::StackDistanceAnalyzer &a =
-                fa[fa_of_config[m]].analyzer;
-            cp.faMissRatio = a.missRatio(cp.spec.sizeBytes /
-                                         cp.spec.blockBytes);
-            cp.faCompulsory = a.infiniteCount();
-        }
-    }
-    return out;
+    ShardedForest forest(configs, policies, shards);
+    sweepSolo(forest, refs, static_cast<std::size_t>(warmup_refs));
+    return forest.counts();
 }
 
 } // namespace onepass

@@ -109,9 +109,13 @@ INSTANTIATE_TEST_SUITE_P(
                     Shape{1024, 16, 8}, Shape{1024, 64, 1},
                     Shape{512, 16, 0}, Shape{2048, 32, 4}),
     [](const testing::TestParamInfo<Shape> &param_info) {
-        return "s" + std::to_string(param_info.param.size) + "_b" +
-               std::to_string(param_info.param.block) + "_a" +
-               std::to_string(param_info.param.assoc);
+        std::string name = "s";
+        name += std::to_string(param_info.param.size);
+        name += "_b";
+        name += std::to_string(param_info.param.block);
+        name += "_a";
+        name += std::to_string(param_info.param.assoc);
+        return name;
     });
 
 /**

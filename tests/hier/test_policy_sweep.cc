@@ -37,8 +37,10 @@ caseName(const testing::TestParamInfo<PolicyCase> &param_info)
     name += cache::replPolicyName(c.l2Repl)[0] == 'l'   ? "Lru"
             : cache::replPolicyName(c.l2Repl)[0] == 'f' ? "Fifo"
                                                         : "Rand";
-    name += "A" + std::to_string(c.l2Assoc);
-    name += "F" + std::to_string(c.l1FetchBytes);
+    name += "A";
+    name += std::to_string(c.l2Assoc);
+    name += "F";
+    name += std::to_string(c.l1FetchBytes);
     return name;
 }
 

@@ -156,7 +156,8 @@ TEST(SampledEngine, SuiteIsJobsInvariant)
     std::vector<expt::TraceSpec> specs;
     for (std::uint64_t v = 0; v < 3; ++v) {
         expt::TraceSpec s;
-        s.name = "t" + std::to_string(v);
+        s.name = "t";
+        s.name += std::to_string(v);
         s.variant = v;
         s.processes = 3;
         s.warmupRefs = 0;

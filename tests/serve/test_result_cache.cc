@@ -1,6 +1,7 @@
 /** @file Tests for the multi-tenant result memo. */
 
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -28,9 +29,12 @@ payload(const std::string &s)
 void
 fill(ResultCache &cache, const std::string &tag, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        cache.put(key(tag, "d" + std::to_string(i)),
-                  payload(tag + std::to_string(i)));
+    for (std::size_t i = 0; i < n; ++i) {
+        std::ostringstream digest, body;
+        digest << 'd' << i;
+        body << tag << i;
+        cache.put(key(tag, digest.str()), payload(body.str()));
+    }
 }
 
 TEST(ResultCache, HitMissAndReplace)
@@ -62,9 +66,8 @@ TEST(ResultCache, CapacityEvictsLruWithinTheTag)
     // Oldest two gone, newest four resident.
     EXPECT_EQ(cache.get(key("grid", "d0")), nullptr);
     EXPECT_EQ(cache.get(key("grid", "d1")), nullptr);
-    for (int i = 2; i < 6; ++i)
-        EXPECT_NE(cache.get(key("grid", "d" + std::to_string(i))),
-                  nullptr);
+    for (const char *digest : {"d2", "d3", "d4", "d5"})
+        EXPECT_NE(cache.get(key("grid", digest)), nullptr);
 }
 
 TEST(ResultCache, GetBumpsToMru)
