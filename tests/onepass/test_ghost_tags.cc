@@ -44,6 +44,14 @@ randomSpec(Rng &rng)
     return spec;
 }
 
+/** Sets of @p spec, a valid power-of-two geometry. */
+std::uint64_t
+setsOf(const GhostCacheSpec &spec)
+{
+    return spec.sizeBytes /
+           (static_cast<std::uint64_t>(spec.assoc) * spec.blockBytes);
+}
+
 trace::MemRef
 randomRef(Rng &rng, Addr span)
 {
@@ -69,7 +77,8 @@ TEST(GhostTagArray, HitMissSequenceMatchesCacheOnRandomConfigs)
                       ? cache::AllocPolicy::WriteAllocate
                       : cache::AllocPolicy::NoWriteAllocate);
         cache::Cache reference(cp);
-        GhostTagArray ghost(spec);
+        GhostTagArray ghost(setsOf(spec), spec.assoc);
+        const std::uint64_t mask = ghost.sets() - 1;
         const unsigned shift = exactLog2(spec.blockBytes);
         // Four cache capacities' worth of address span keeps the
         // conflict rate high without making every access a miss.
@@ -82,8 +91,8 @@ TEST(GhostTagArray, HitMissSequenceMatchesCacheOnRandomConfigs)
             const std::uint64_t block = ref.addr >> shift;
             const bool ghost_hit =
                 (ref.isRead() || write_allocate)
-                    ? ghost.touchOrInstall(block)
-                    : ghost.touchOnly(block);
+                    ? ghost.touchOrInstallAt(block & mask, block)
+                    : ghost.touchOnlyAt(block & mask, block);
             ASSERT_EQ(outcome.hit, ghost_hit)
                 << spec.toString() << " diverged at ref " << i
                 << " (" << ref.toString() << ")";
@@ -102,7 +111,8 @@ TEST(GhostTagArray, TouchOnlyMatchesAbsorbWriteUnderWriteAround)
         const cache::CacheParams cp =
             paramsFor(spec, cache::AllocPolicy::WriteAllocate);
         cache::Cache reference(cp);
-        GhostTagArray ghost(spec);
+        GhostTagArray ghost(setsOf(spec), spec.assoc);
+        const std::uint64_t mask = ghost.sets() - 1;
         const unsigned shift = exactLog2(spec.blockBytes);
         const Addr span = spec.sizeBytes * 4;
 
@@ -114,11 +124,12 @@ TEST(GhostTagArray, TouchOnlyMatchesAbsorbWriteUnderWriteAround)
                 // A downstream write: hit touches, miss is passed
                 // around without allocation on both sides.
                 ASSERT_EQ(reference.absorbWrite(addr),
-                          ghost.touchOnly(block))
+                          ghost.touchOnlyAt(block & mask, block))
                     << spec.toString() << " write " << i;
             } else {
                 reference.access(trace::makeLoad(addr), outcome);
-                ASSERT_EQ(outcome.hit, ghost.touchOrInstall(block))
+                ASSERT_EQ(outcome.hit,
+                          ghost.touchOrInstallAt(block & mask, block))
                     << spec.toString() << " read " << i;
             }
         }
@@ -127,17 +138,17 @@ TEST(GhostTagArray, TouchOnlyMatchesAbsorbWriteUnderWriteAround)
 
 TEST(GhostTagArray, ValidCountTracksDistinctBlocksBeforeEviction)
 {
-    const GhostCacheSpec spec{1024, 2, 32};
-    GhostTagArray ghost(spec);
+    // 1KB, 2-way, 32B blocks: 16 sets.
+    GhostTagArray ghost(16, 2);
     EXPECT_EQ(ghost.validCount(), 0u);
     // 32 blocks of capacity: the first 32 distinct blocks all fit.
     for (std::uint64_t b = 0; b < 32; ++b)
-        EXPECT_FALSE(ghost.touchOrInstall(b));
+        EXPECT_FALSE(ghost.touchOrInstallAt(b & 15, b));
     EXPECT_EQ(ghost.validCount(), 32u);
     for (std::uint64_t b = 0; b < 32; ++b)
-        EXPECT_TRUE(ghost.touchOrInstall(b));
+        EXPECT_TRUE(ghost.touchOrInstallAt(b & 15, b));
     // Evictions replace rather than grow.
-    EXPECT_FALSE(ghost.touchOrInstall(100));
+    EXPECT_FALSE(ghost.touchOrInstallAt(100 & 15, 100));
     EXPECT_EQ(ghost.validCount(), 32u);
 }
 
@@ -233,13 +244,13 @@ TEST(GhostCounts, ZeroDenominatorRatiosAreZeroNotNaN)
 
 TEST(GhostTagDeathTest, RejectsBrokenGeometry)
 {
-    EXPECT_DEATH(GhostTagArray(GhostCacheSpec{3000, 1, 32}),
-                 "powers of two");
-    EXPECT_DEATH(GhostTagArray(GhostCacheSpec{4096, 3, 32}),
-                 "powers of two");
-    EXPECT_DEATH(GhostTagArray(GhostCacheSpec{64, 4, 32}),
-                 "fewer than one set");
     GhostPolicies policies;
+    EXPECT_DEATH(GhostTagForest({GhostCacheSpec{3000, 1, 32}}, policies),
+                 "powers of two");
+    EXPECT_DEATH(GhostTagForest({GhostCacheSpec{4096, 3, 32}}, policies),
+                 "powers of two");
+    EXPECT_DEATH(GhostTagForest({GhostCacheSpec{64, 4, 32}}, policies),
+                 "fewer than one set");
     EXPECT_DEATH(GhostTagForest({}, policies),
                  "at least one config");
 }

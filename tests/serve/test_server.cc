@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -15,6 +16,9 @@
 #include "serve/json.hh"
 #include "serve/loadgen.hh"
 #include "serve/server.hh"
+#include "trace/binary.hh"
+#include "trace/interleave.hh"
+#include "trace/source.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MLC_TEST_HAVE_SOCKETS 1
@@ -316,6 +320,36 @@ TEST(Server, TimingEngineAnswersQueries)
     EXPECT_NE(onepass.find("\"cached\":false"),
               std::string::npos);
     EXPECT_EQ(server.counters().engineRuns, 2u);
+}
+
+TEST(Server, TraceFileShorterThanItsWarmupIsCountedWhole)
+{
+    // Without a sidecar a trace file gets a 50,000-reference warm-up
+    // guess (at least 1000 however MLC_QUICK scales it). A shorter
+    // file never crosses it: the one-pass engines count all of it,
+    // as at warm-up 0, and answer both depths.
+    const std::string path = std::string(::testing::TempDir()) +
+                             "mlc_serve_short.mlct";
+    {
+        auto gen = trace::makeMultiprogrammedWorkload(2, 4000, 5);
+        const std::vector<trace::MemRef> refs =
+            trace::collect(*gen, 900);
+        std::ofstream out(path, std::ios::binary);
+        trace::BinaryWriter writer(out);
+        writer.putSpan({refs.data(), refs.size()});
+        writer.finish();
+    }
+    ServerOptions opts;
+    opts.traceFiles = {path};
+    Server server(opts);
+    const std::string q =
+        "{\"op\":\"query\",\"workload\":\"mlc_serve_short\","
+        "\"l2_size\":65536,\"l2_cycles\":2";
+    EXPECT_GT(relExecOf(server.handleLine(q + "}")), 0.0);
+    EXPECT_GT(relExecOf(server.handleLine(
+                  q + ",\"l3_size\":2097152,\"l3_cycles\":6}")),
+              0.0);
+    std::filesystem::remove(path);
 }
 
 TEST(Server, WarmMaterializesAndStatsSeesIt)
