@@ -15,6 +15,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "engines/engines.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 #include "util/units.hh"
@@ -35,7 +36,7 @@ run(const hier::HierarchyParams &p, const expt::TraceStore &store,
 int
 main(int argc, char **argv)
 {
-    const std::size_t jobs = bench::jobsFromArgs(argc, argv);
+    const std::size_t jobs = engines::parseArgs(argc, argv).jobs;
     const hier::HierarchyParams base =
         hier::HierarchyParams::baseMachine();
     bench::printHeader("Ablations",

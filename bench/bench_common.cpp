@@ -14,15 +14,8 @@
 #include <sys/resource.h>
 #endif
 
-#include "mrc/engine.hh"
-#include "onepass/grid.hh"
-#include "sample/engine.hh"
-#include "sample/sweep.hh"
 #include "util/csv.hh"
-#include "util/logging.hh"
-#include "util/str.hh"
 #include "util/table.hh"
-#include "util/thread_pool.hh"
 #include "util/units.hh"
 
 // Normally injected by bench/CMakeLists.txt; the fallbacks keep the
@@ -56,124 +49,6 @@ printHeader(const std::string &figure,
               << "workload: synthetic multiprogramming suite "
               << "(see DESIGN.md trace substitution)\n"
               << kRule << "\n";
-}
-
-std::size_t
-jobsFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        std::string value;
-        if (startsWith(arg, "--jobs="))
-            value = std::string(arg.substr(7));
-        else if (arg == "--jobs" && i + 1 < argc)
-            value = argv[i + 1];
-        else
-            continue;
-        unsigned long long jobs = 0;
-        if (!parseUnsigned(value, jobs) || jobs < 1)
-            mlc_fatal("bad --jobs value '", value, "'");
-        return static_cast<std::size_t>(jobs);
-    }
-    return defaultJobs();
-}
-
-std::size_t
-shardsFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        std::string value;
-        if (startsWith(arg, "--shards="))
-            value = std::string(arg.substr(9));
-        else if (arg == "--shards" && i + 1 < argc)
-            value = argv[i + 1];
-        else
-            continue;
-        unsigned long long shards = 0;
-        if (!parseUnsigned(value, shards) || shards < 1)
-            mlc_fatal("bad --shards value '", value, "'");
-        return static_cast<std::size_t>(shards);
-    }
-    if (const char *env = std::getenv("MLC_SHARDS");
-        env && env[0] != '\0') {
-        unsigned long long shards = 0;
-        if (parseUnsigned(env, shards) && shards >= 1)
-            return static_cast<std::size_t>(shards);
-    }
-    return 1;
-}
-
-Engine
-engineFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        std::string value;
-        if (startsWith(arg, "--engine="))
-            value = std::string(arg.substr(9));
-        else if (arg == "--engine" && i + 1 < argc)
-            value = argv[i + 1];
-        else
-            continue;
-        if (value == "timing")
-            return Engine::Timing;
-        if (value == "onepass")
-            return Engine::OnePass;
-        if (value == "sampled")
-            return Engine::Sampled;
-        if (value == "mrc")
-            return Engine::Mrc;
-        mlc_fatal("bad --engine value '", value,
-                  "' (expected 'timing', 'onepass', 'sampled' or "
-                  "'mrc')");
-    }
-    return Engine::Timing;
-}
-
-mrc::SamplerConfig
-samplerFromArgs(int argc, char **argv)
-{
-    mrc::SamplerConfig cfg;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (startsWith(arg, "--sample-rate=")) {
-            const std::string value(arg.substr(14));
-            try {
-                cfg.rate = std::stod(value);
-            } catch (const std::exception &) {
-                mlc_fatal("bad --sample-rate value '", value, "'");
-            }
-            if (!(cfg.rate > 0.0) || cfg.rate > 1.0)
-                mlc_fatal("--sample-rate must be in (0, 1], got ",
-                          cfg.rate);
-        } else if (startsWith(arg, "--sample-budget=")) {
-            const std::string value(arg.substr(16));
-            try {
-                cfg.budget = std::stoull(value);
-            } catch (const std::exception &) {
-                mlc_fatal("bad --sample-budget value '", value,
-                          "'");
-            }
-        }
-    }
-    return cfg;
-}
-
-const char *
-engineName(Engine engine)
-{
-    switch (engine) {
-    case Engine::Timing:
-        return "timing";
-    case Engine::OnePass:
-        return "onepass";
-    case Engine::Sampled:
-        return "sampled";
-    case Engine::Mrc:
-        return "mrc";
-    }
-    return "?";
 }
 
 std::string
@@ -266,39 +141,6 @@ GateStatus::reason() const
         os << " (" << hwThreads << " hw threads < " << threadsNeeded
            << " needed)";
     return os.str();
-}
-
-expt::DesignSpaceGrid
-buildRelExecGrid(Engine engine, const hier::HierarchyParams &base,
-                 const std::vector<std::uint64_t> &sizes,
-                 const std::vector<std::uint32_t> &cycles,
-                 const expt::TraceStore &store, std::size_t jobs,
-                 const sample::SampledOptions &sampled_opts,
-                 std::size_t shards, const mrc::SamplerConfig &sampler)
-{
-    // Engine choice goes to stderr: stdout must stay byte-identical
-    // between a default run and an explicit --engine=timing run.
-    std::cerr << "  sweeping " << sizes.size() << "x"
-              << cycles.size() << " grid (" << engineName(engine)
-              << " engine)...\n";
-    if (engine == Engine::OnePass)
-        return onepass::buildGrid(base, sizes, cycles, store, jobs,
-                                  shards);
-    if (engine == Engine::Mrc)
-        return mrc::buildGrid(base, sizes, cycles, store, jobs,
-                              sampler);
-    if (engine == Engine::Sampled)
-        // Checkpointed: all cells of a trace share each window's
-        // warming pass (bit-identical to sample::buildGrid, which
-        // the sweep tests assert).
-        return sample::buildGridCheckpointed(
-            base, sizes, cycles, store, sampled_opts, jobs);
-    return expt::parallelBuildGrid(
-        sizes, cycles, store,
-        [&](std::uint64_t size, std::uint32_t cyc) {
-            return base.withL2(size, cyc);
-        },
-        jobs);
 }
 
 void

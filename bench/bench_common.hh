@@ -15,8 +15,6 @@
 #include "expt/runner.hh"
 #include "expt/workload_suite.hh"
 #include "hier/hierarchy_config.hh"
-#include "mrc/sampler.hh"
-#include "sample/scheduler.hh"
 
 namespace mlc {
 namespace bench {
@@ -25,59 +23,6 @@ namespace bench {
 void printHeader(const std::string &figure,
                  const std::string &description,
                  const hier::HierarchyParams &base);
-
-/**
- * Worker count for a bench binary: `--jobs=N` (or `--jobs N`) on
- * the command line wins, then the MLC_JOBS environment variable,
- * then hardware_concurrency(). Grids and stdout output are
- * bit-identical for every N; only wall-clock changes.
- */
-std::size_t jobsFromArgs(int argc, char **argv);
-
-/**
- * Shard count for the one-pass engine's set-partitioned sweep:
- * `--shards=N` (or `--shards N`) wins, then the MLC_SHARDS
- * environment variable, then 1 (one shard). Results
- * are bit-identical for every N (ProfileOptions::shards); only the
- * timing engine ignores it.
- */
-std::size_t shardsFromArgs(int argc, char **argv);
-
-/**
- * How a grid gets its relative execution times.
- *
- * Timing simulates every grid cell in full (write buffers, bus
- * contention, the lot). OnePass computes exact read miss ratios
- * for all sizes in one pass per trace and prices the cells with
- * the Equation 1-3 analytical model — same miss ratios, modelled
- * (not simulated) timing, orders of magnitude faster on wide
- * grids. Sampled keeps the full timing model but replays only a
- * scheduled subset of each trace, reporting CPI with a confidence
- * interval (DESIGN.md §5d). See DESIGN.md's one-pass section for
- * the exact/approx boundary.
- */
-enum class Engine
-{
-    Timing,
-    OnePass,
-    Sampled,
-    /** The one-pass pipeline over a spatially-sampled reference
-     *  subset (mrc::buildGrid): O(sample) cache state, streaming
-     *  replay, exact at --sample-rate=1.0. */
-    Mrc,
-};
-
-/** `--engine=onepass|timing|sampled|mrc` (default Timing). */
-Engine engineFromArgs(int argc, char **argv);
-
-const char *engineName(Engine engine);
-
-/**
- * Sampling knobs for Engine::Mrc: `--sample-rate=P` (0 < P <= 1,
- * default 0.01) and `--sample-budget=N` (adaptive live-block
- * budget, default 0 = fixed-rate). Other engines ignore both.
- */
-mrc::SamplerConfig samplerFromArgs(int argc, char **argv);
 
 /**
  * Build-provenance fields for bench JSON records, as a fragment to
@@ -145,27 +90,6 @@ struct GateStatus
 /** The status of a gate with floor @p floor whose timing needs
  *  @p threads_needed hardware threads. */
 GateStatus gateStatus(double floor, std::size_t threads_needed);
-
-/**
- * Build the (L2 size x L2 cycle) relative-execution-time grid for
- * a base machine over a shared trace store with the chosen engine,
- * using @p jobs workers (deterministic for any value: see
- * expt::parallelBuildGrid / onepass::buildGrid / sample::buildGrid).
- * @p sampled_opts is consulted by Engine::Sampled only; the default
- * (auto period, ~200 windows) suits the bench-suite traces.
- * @p shards set-partitions the one-pass forest sweep within each
- * trace (Engine::OnePass only; see shardsFromArgs).
- * @p sampler is consulted by Engine::Mrc only (see samplerFromArgs).
- */
-expt::DesignSpaceGrid
-buildRelExecGrid(Engine engine, const hier::HierarchyParams &base,
-                 const std::vector<std::uint64_t> &sizes,
-                 const std::vector<std::uint32_t> &cycles,
-                 const expt::TraceStore &store,
-                 std::size_t jobs = 1,
-                 const sample::SampledOptions &sampled_opts = {},
-                 std::size_t shards = 1,
-                 const mrc::SamplerConfig &sampler = {});
 
 /** Print the grid the way Figure 4-1 plots it: one column per L2
  *  cycle time, one row per L2 size. */

@@ -16,6 +16,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "engines/engines.hh"
 #include "model/miss_rate.hh"
 #include "util/table.hh"
 #include "util/units.hh"
@@ -25,7 +26,7 @@ using namespace mlc;
 int
 main(int argc, char **argv)
 {
-    const std::size_t jobs = bench::jobsFromArgs(argc, argv);
+    const std::size_t jobs = engines::parseArgs(argc, argv).jobs;
     const hier::HierarchyParams base =
         hier::HierarchyParams::baseMachine();
     bench::printHeader("Figure 3-1",

@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "engines/engines.hh"
 #include "util/table.hh"
 #include "util/units.hh"
 
@@ -19,7 +20,7 @@ using namespace mlc;
 int
 main(int argc, char **argv)
 {
-    const std::size_t jobs = bench::jobsFromArgs(argc, argv);
+    const std::size_t jobs = engines::parseArgs(argc, argv).jobs;
     const hier::HierarchyParams base =
         hier::HierarchyParams::baseMachine().withL1Total(32 << 10);
     bench::printHeader("Figure 3-2",

@@ -9,15 +9,14 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "engines/engines.hh"
 
 using namespace mlc;
 
 int
 main(int argc, char **argv)
 {
-    const std::size_t jobs = bench::jobsFromArgs(argc, argv);
-    const bench::Engine engine = bench::engineFromArgs(argc, argv);
-    const std::size_t shards = bench::shardsFromArgs(argc, argv);
+    const engines::EngineOptions opts = engines::parseArgs(argc, argv);
     const hier::HierarchyParams base =
         hier::HierarchyParams::baseMachine();
     bench::printHeader("Figure 4-2",
@@ -25,10 +24,9 @@ main(int argc, char **argv)
                        base);
 
     const auto store =
-        bench::materializeAll(expt::gridSuite(), jobs);
-    const expt::DesignSpaceGrid grid = bench::buildRelExecGrid(
-        engine, base, expt::paperSizes(), expt::paperCycles(),
-        store, jobs, {}, shards);
+        bench::materializeAll(expt::gridSuite(), opts.jobs);
+    const expt::DesignSpaceGrid grid = engines::buildGrid(
+        opts, base, expt::paperSizes(), expt::paperCycles(), store);
 
     bench::printConstantPerformance(grid);
     bench::maybeDumpCsv(grid, "fig4_2");

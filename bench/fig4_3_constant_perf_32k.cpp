@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "engines/engines.hh"
 #include "model/tradeoff.hh"
 
 using namespace mlc;
@@ -20,9 +21,7 @@ using namespace mlc;
 int
 main(int argc, char **argv)
 {
-    const std::size_t jobs = bench::jobsFromArgs(argc, argv);
-    const bench::Engine engine = bench::engineFromArgs(argc, argv);
-    const std::size_t shards = bench::shardsFromArgs(argc, argv);
+    const engines::EngineOptions opts = engines::parseArgs(argc, argv);
     const hier::HierarchyParams base4k =
         hier::HierarchyParams::baseMachine();
     const hier::HierarchyParams base32k =
@@ -32,16 +31,15 @@ main(int argc, char **argv)
                        base32k);
 
     const auto store =
-        bench::materializeAll(expt::gridSuite(), jobs);
+        bench::materializeAll(expt::gridSuite(), opts.jobs);
 
     std::cerr << "grid with 4KB L1 (reference)...\n";
-    const expt::DesignSpaceGrid grid4k = bench::buildRelExecGrid(
-        engine, base4k, expt::paperSizes(), expt::paperCycles(),
-        store, jobs, {}, shards);
+    const expt::DesignSpaceGrid grid4k = engines::buildGrid(
+        opts, base4k, expt::paperSizes(), expt::paperCycles(), store);
     std::cerr << "grid with 32KB L1...\n";
-    const expt::DesignSpaceGrid grid32k = bench::buildRelExecGrid(
-        engine, base32k, expt::paperSizes(), expt::paperCycles(),
-        store, jobs, {}, shards);
+    const expt::DesignSpaceGrid grid32k = engines::buildGrid(
+        opts, base32k, expt::paperSizes(), expt::paperCycles(),
+        store);
 
     bench::printConstantPerformance(grid32k);
     bench::maybeDumpCsv(grid4k, "fig4_3_l1_4k");

@@ -14,15 +14,14 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "engines/engines.hh"
 
 using namespace mlc;
 
 int
 main(int argc, char **argv)
 {
-    const std::size_t jobs = bench::jobsFromArgs(argc, argv);
-    const bench::Engine engine = bench::engineFromArgs(argc, argv);
-    const std::size_t shards = bench::shardsFromArgs(argc, argv);
+    const engines::EngineOptions opts = engines::parseArgs(argc, argv);
     hier::HierarchyParams slow =
         hier::HierarchyParams::baseMachine();
     slow.memory = mem::MainMemoryParams::slow();
@@ -32,17 +31,15 @@ main(int argc, char **argv)
         slow);
 
     const auto store =
-        bench::materializeAll(expt::gridSuite(), jobs);
+        bench::materializeAll(expt::gridSuite(), opts.jobs);
 
     std::cerr << "grid with base memory (reference)...\n";
-    const expt::DesignSpaceGrid base_grid = bench::buildRelExecGrid(
-        engine, hier::HierarchyParams::baseMachine(),
-        expt::paperSizes(), expt::paperCycles(), store, jobs, {},
-        shards);
+    const expt::DesignSpaceGrid base_grid = engines::buildGrid(
+        opts, hier::HierarchyParams::baseMachine(), expt::paperSizes(),
+        expt::paperCycles(), store);
     std::cerr << "grid with slow memory...\n";
-    const expt::DesignSpaceGrid slow_grid = bench::buildRelExecGrid(
-        engine, slow, expt::paperSizes(), expt::paperCycles(),
-        store, jobs, {}, shards);
+    const expt::DesignSpaceGrid slow_grid = engines::buildGrid(
+        opts, slow, expt::paperSizes(), expt::paperCycles(), store);
 
     bench::printConstantPerformance(slow_grid);
     bench::maybeDumpCsv(base_grid, "fig4_4_base_memory");

@@ -24,6 +24,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "engines/engines.hh"
 #include "model/associativity.hh"
 #include "util/table.hh"
 #include "util/units.hh"
@@ -62,7 +63,7 @@ measure(const hier::HierarchyParams &base, std::uint64_t size,
 int
 main(int argc, char **argv)
 {
-    const std::size_t jobs = bench::jobsFromArgs(argc, argv);
+    const std::size_t jobs = engines::parseArgs(argc, argv).jobs;
     const hier::HierarchyParams base =
         hier::HierarchyParams::baseMachine();
     bench::printHeader("Figures 5-1..5-3",

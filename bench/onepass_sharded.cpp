@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "engines/engines.hh"
 #include "onepass/engine.hh"
 #include "onepass/grid.hh"
 #include "trace/interleave.hh"
@@ -169,8 +170,10 @@ main(int argc, char **argv)
         else if (arg.rfind("--golden-refs=", 0) == 0)
             golden_refs =
                 std::strtoull(arg.c_str() + 14, nullptr, 0);
-        // --shards / --jobs are parsed by bench_common below.
+        // --shards / --jobs are parsed by engines::parseArgs below.
     }
+    const engines::EngineOptions engine_opts =
+        engines::parseArgs(argc, argv);
     {
         // Default is 8 shards; an explicit --shards/MLC_SHARDS
         // (even 1) wins.
@@ -179,9 +182,9 @@ main(int argc, char **argv)
             given = given || std::string_view(argv[i]).substr(
                                  0, 8) == "--shards";
         if (given)
-            shards = bench::shardsFromArgs(argc, argv);
+            shards = engine_opts.shards;
     }
-    const std::size_t jobs = bench::jobsFromArgs(argc, argv);
+    const std::size_t jobs = engine_opts.jobs;
 
     // --- Exactness gate 1: golden machine variants ---------------
     std::cerr << "onepass sharded: exactness over golden machine "

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "engines/engines.hh"
 #include "onepass/cascade.hh"
 #include "onepass/model_timing.hh"
 #include "onepass/validate.hh"
@@ -145,8 +146,10 @@ main(int argc, char **argv)
             cross_refs =
                 std::strtoull(arg.c_str() + 13, nullptr, 0);
     }
-    const std::size_t jobs = bench::jobsFromArgs(argc, argv);
-    const std::size_t shards = bench::shardsFromArgs(argc, argv);
+    engines::EngineOptions exact = engines::parseArgs(argc, argv);
+    exact.engine = engines::Engine::OnePass;
+    const std::size_t jobs = exact.jobs;
+    const std::size_t shards = exact.shards;
 
     const hier::HierarchyParams base = threeLevelBase();
 
@@ -180,30 +183,31 @@ main(int argc, char **argv)
 
     // --- Exactness gate 2: shard-count bit-identity --------------
     std::cerr << "cascade: shard bit-identity vs scalar...\n";
-    onepass::ProfileOptions scalar_opts;
-    scalar_opts.solo = true;
-    scalar_opts.faBound = true;
-    const auto scalar_profiles = onepass::profileCascadeSuite(
-        base, golden, cross_store, jobs, scalar_opts);
+    engines::EngineOptions scalar = exact;
+    scalar.shards = 1;
+    const auto scalar_profiles = engines::profile(
+        scalar, base, golden, cross_store, /*solo=*/true,
+        /*fa_bound=*/true);
     bool shards_identical = true;
     for (const std::size_t s :
          {std::size_t{2}, std::size_t{7}, shards}) {
         if (s <= 1)
             continue;
-        onepass::ProfileOptions opts = scalar_opts;
-        opts.shards = s;
-        const auto sharded = onepass::profileCascadeSuite(
-            base, golden, cross_store, jobs, opts);
-        for (std::size_t p = 0; p < scalar_profiles.size(); ++p)
-            for (std::size_t t = 0; t < scalar_profiles[p].size();
-                 ++t)
-                shards_identical =
-                    identicalProfiles(
-                        scalar_profiles[p][t], sharded[p][t],
-                        "pivot " + std::to_string(p) + " trace " +
-                            std::to_string(t) + " shards=" +
-                            std::to_string(s)) &&
-                    shards_identical;
+        engines::EngineOptions sharded_opts = scalar;
+        sharded_opts.shards = s;
+        const auto sharded = engines::profile(
+            sharded_opts, base, golden, cross_store, true, true);
+        // Pivot-major: entry i is pivot i / traces, trace i % traces.
+        for (std::size_t i = 0; i < scalar_profiles.size(); ++i)
+            shards_identical =
+                identicalProfiles(
+                    scalar_profiles[i], sharded[i],
+                    "pivot " +
+                        std::to_string(i / cross_store.size()) +
+                        " trace " +
+                        std::to_string(i % cross_store.size()) +
+                        " shards=" + std::to_string(s)) &&
+                shards_identical;
     }
 
     // --- Speed gate: joint grid, timing vs one cascade pass ------
@@ -254,10 +258,9 @@ main(int argc, char **argv)
         sweep.l3.configs.push_back(
             {l3, base.levels[1].geometry.assoc,
              base.levels[1].geometry.blockBytes});
-    onepass::ProfileOptions sweep_opts;
-    sweep_opts.shards = shards;
-    const auto profiles = onepass::profileCascadeSuite(
-        base, sweep, store, jobs, sweep_opts);
+    const auto profiles =
+        engines::profile(exact, base, sweep, store);
+    const std::size_t traces = store.size();
     std::vector<double> cascade_cpi;
     for (std::size_t p = 0; p < sweep.pivots.size(); ++p)
         for (std::size_t m = 0; m < sweep.l3.configs.size(); ++m)
@@ -266,12 +269,10 @@ main(int argc, char **argv)
                     onepass::EqTimingModel::forMachine(cellMachine(
                         l2_sizes[p], l3_sizes[m], cyc));
                 double sum = 0.0;
-                for (const onepass::TraceProfile &prof :
-                     profiles[p])
-                    sum += model.cpi(prof, m);
+                for (std::size_t t = 0; t < traces; ++t)
+                    sum += model.cpi(profiles[p * traces + t], m);
                 cascade_cpi.push_back(
-                    sum /
-                    static_cast<double>(profiles[p].size()));
+                    sum / static_cast<double>(traces));
             }
     const double cascade_s = seconds(c0);
 

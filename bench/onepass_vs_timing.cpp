@@ -24,6 +24,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "engines/engines.hh"
 #include "onepass/grid.hh"
 
 using namespace mlc;
@@ -57,7 +58,7 @@ timed(const char *engine, std::size_t jobs, Fn &&build)
 int
 main(int argc, char **argv)
 {
-    const std::size_t jobs = bench::jobsFromArgs(argc, argv);
+    const std::size_t jobs = engines::parseArgs(argc, argv).jobs;
     const hier::HierarchyParams base =
         hier::HierarchyParams::baseMachine();
     const auto sizes = expt::paperSizes();

@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "engines/engines.hh"
 #include "serve/loadgen.hh"
 #include "serve/server.hh"
 #include "util/logging.hh"
@@ -149,7 +150,7 @@ main(int argc, char **argv)
         else if (arg.rfind("--min-ratio=", 0) == 0)
             min_ratio = std::strtod(arg.c_str() + 12, nullptr);
     }
-    const std::size_t jobs = bench::jobsFromArgs(argc, argv);
+    const std::size_t jobs = engines::parseArgs(argc, argv).jobs;
 
     const std::string socket = "/tmp/mlc_serve_bench." +
                                std::to_string(getpid()) + ".sock";

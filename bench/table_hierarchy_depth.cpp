@@ -17,6 +17,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "engines/engines.hh"
 #include "model/exec_time.hh"
 #include "util/table.hh"
 
@@ -63,7 +64,7 @@ threeLevel()
 int
 main(int argc, char **argv)
 {
-    const std::size_t jobs = bench::jobsFromArgs(argc, argv);
+    const std::size_t jobs = engines::parseArgs(argc, argv).jobs;
     bench::printHeader("Hierarchy-depth study (Section 1 premise)",
                        "1 vs 2 vs 3 levels as memory slows",
                        hier::HierarchyParams::baseMachine());

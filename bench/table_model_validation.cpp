@@ -19,6 +19,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "engines/engines.hh"
 #include "mem/main_memory.hh"
 #include "model/associativity.hh"
 #include "model/miss_rate.hh"
@@ -31,7 +32,7 @@ using namespace mlc;
 int
 main(int argc, char **argv)
 {
-    const std::size_t jobs = bench::jobsFromArgs(argc, argv);
+    const std::size_t jobs = engines::parseArgs(argc, argv).jobs;
     const hier::HierarchyParams base =
         hier::HierarchyParams::baseMachine();
     bench::printHeader("Model validation",

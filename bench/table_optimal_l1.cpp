@@ -12,13 +12,22 @@
  * every doubling of the L1 beyond 4KB adds kL1CyclePenaltyNs to
  * the CPU cycle — and reports, for each L2 cycle time, the
  * time-per-instruction across L1 sizes and the optimum.
+ *
+ *   $ ./table_optimal_l1 [--jobs=N] [--engine=timing|onepass|mrc]
+ *                        [--shards=N] [--sample-rate=P]
+ *                        [--sample-budget=N]
+ *
+ * --engine=onepass and --engine=mrc price every cell from one
+ * profile per L1 size; the sampled engine estimates no whole-trace
+ * CPI to compare and is refused.
  */
 
 #include <iostream>
 
 #include "bench_common.hh"
-#include "onepass/engine.hh"
+#include "engines/engines.hh"
 #include "onepass/model_timing.hh"
+#include "util/logging.hh"
 #include "util/table.hh"
 #include "util/thread_pool.hh"
 #include "util/units.hh"
@@ -60,8 +69,10 @@ cellMachine(const hier::HierarchyParams &base, std::uint64_t l1,
 int
 main(int argc, char **argv)
 {
-    const std::size_t jobs = bench::jobsFromArgs(argc, argv);
-    const bench::Engine engine = bench::engineFromArgs(argc, argv);
+    const engines::EngineOptions opts = engines::parseArgs(argc, argv);
+    if (opts.engine == engines::Engine::Sampled)
+        mlc_fatal("table_optimal_l1 takes --engine=timing, onepass "
+                  "or mrc, not sampled");
     const hier::HierarchyParams base =
         hier::HierarchyParams::baseMachine();
     bench::printHeader(
@@ -74,7 +85,7 @@ main(int argc, char **argv)
                  "cycles\n";
 
     const auto store =
-        bench::materializeAll(expt::gridSuite(), jobs);
+        bench::materializeAll(expt::gridSuite(), opts.jobs);
 
     const std::vector<std::uint64_t> l1_sizes = {
         4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10};
@@ -83,20 +94,29 @@ main(int argc, char **argv)
     const std::size_t cols = l1_sizes.size();
     std::vector<double> ns_per_instr(l2_cycles.size() * cols, 0.0);
     std::cerr << "  sweeping " << l2_cycles.size() << "x" << cols
-              << " L1/L2 table (" << bench::engineName(engine)
+              << " L1/L2 table (" << engines::engineName(opts.engine)
               << " engine)...\n";
-    if (engine == bench::Engine::OnePass) {
-        // The L2 cycle axis changes timing only, so one profiling
-        // pass per L1 size covers the whole row set; cells are then
+    if (opts.engine == engines::Engine::Timing) {
+        // Evaluate the (L2 cycle x L1 size) cells in parallel,
+        // each into its own slot; the table below is assembled
+        // serially in row order, so output is identical for any
+        // --jobs.
+        parallelFor(opts.jobs, ns_per_instr.size(), [&](std::size_t i) {
+            const hier::HierarchyParams p = cellMachine(
+                base, l1_sizes[i % cols], l2_cycles[i / cols]);
+            const expt::SuiteResults r = expt::runSuite(p, store);
+            ns_per_instr[i] = r.cpi * p.cpuCycleNs;
+        });
+    } else {
+        // The L2 cycle axis changes timing only, so one profile
+        // per L1 size covers the whole row set; cells are then
         // priced analytically. Serial fill keeps output identical
-        // for any --jobs (parallelism lives inside profileSuite).
+        // for any --jobs (parallelism lives inside the profile).
         for (std::size_t col = 0; col < cols; ++col) {
             const hier::HierarchyParams p =
                 cellMachine(base, l1_sizes[col], l2_cycles[0]);
-            const onepass::FamilySpec family =
-                onepass::FamilySpec::l2Grid(p, {512 << 10});
-            const auto profiles =
-                onepass::profileSuite(p, family, store, jobs);
+            const auto profiles = engines::profile(
+                opts, p, engines::familyFor(p, {512 << 10}), store);
             for (std::size_t row = 0; row < l2_cycles.size();
                  ++row) {
                 const hier::HierarchyParams cell = cellMachine(
@@ -111,17 +131,6 @@ main(int argc, char **argv)
                     cpi * cell.cpuCycleNs;
             }
         }
-    } else {
-        // Evaluate the (L2 cycle x L1 size) cells in parallel,
-        // each into its own slot; the table below is assembled
-        // serially in row order, so output is identical for any
-        // --jobs.
-        parallelFor(jobs, ns_per_instr.size(), [&](std::size_t i) {
-            const hier::HierarchyParams p = cellMachine(
-                base, l1_sizes[i % cols], l2_cycles[i / cols]);
-            const expt::SuiteResults r = expt::runSuite(p, store);
-            ns_per_instr[i] = r.cpi * p.cpuCycleNs;
-        });
     }
 
     Table t;

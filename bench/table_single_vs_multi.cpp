@@ -18,6 +18,7 @@
 #include <iostream>
 
 #include "bench_common.hh"
+#include "engines/engines.hh"
 #include "util/table.hh"
 #include "util/units.hh"
 
@@ -41,7 +42,7 @@ cpuCycleNsForL1(std::uint64_t l1_total)
 int
 main(int argc, char **argv)
 {
-    const std::size_t jobs = bench::jobsFromArgs(argc, argv);
+    const std::size_t jobs = engines::parseArgs(argc, argv).jobs;
     const hier::HierarchyParams base =
         hier::HierarchyParams::baseMachine();
     bench::printHeader(

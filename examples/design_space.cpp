@@ -16,16 +16,16 @@
  * or all cores); the output is identical for every N.
  *
  * --engine=onepass profiles every L2 size in a single pass over
- * the trace (exact read miss ratios, including the solo curve) and
- * prices the cells with the Equation 1-3 analytical model instead
- * of simulating each one — the same table shape, slightly
- * different values (modelled rather than simulated timing), and a
- * large speedup on wide sweeps.
+ * the trace (exact read miss ratios) and prices the cells with the
+ * Equation 1-3 analytical model instead of simulating each one —
+ * the same table shape, slightly different values (modelled rather
+ * than simulated timing), and a large speedup on wide sweeps.
+ * Whatever engine prices the cells, the Equation-2 fit at the end
+ * uses the solo miss curve of one exact one-pass profile.
  *
  * --engine=sampled keeps the full timing model but replays only a
  * scheduled subset of the trace per cell (statistical sampling,
- * DESIGN.md §5d): estimated CPI with a confidence interval, solo
- * miss ratios measured exactly over the replayed subset. The grid
+ * DESIGN.md §5d): estimated CPI with a confidence interval. The grid
  * itself is swept checkpoint-and-branch style (DESIGN.md §5e): all
  * cells share one warming pass per window, bit-identical to
  * warming each cell separately. On this deliberately small
@@ -47,10 +47,9 @@
  * --engine=mrc switch to the cascade engine (DESIGN.md §5j): the
  * swept L2 sizes become the exactly-replayed pivots, the fixed L3
  * is the ghost-swept member, and every cell is priced from one
- * trace pass with the depth-3 Equation 1-3 model. The solo column
- * reports the pivot's (L2's) solo miss ratio, so the Equation-2
- * slope analysis below the table keeps its meaning. Not supported
- * with --engine=sampled.
+ * trace pass with the depth-3 Equation 1-3 model. The solo curve
+ * stays the L2's, so the Equation-2 slope analysis below the table
+ * keeps its meaning. Not supported with --engine=sampled.
  *
  * --paired=SIZEA,SIZEB (sampled engine only) additionally compares
  * the two L2 sizes (in bytes, at the 3-cycle row) with the
@@ -59,24 +58,20 @@
  * narrower than either absolute interval.
  */
 
-#include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <string>
 #include <string_view>
+#include <vector>
 
+#include "engines/engines.hh"
 #include "expt/design_space.hh"
-#include "expt/runner.hh"
 #include "model/miss_rate.hh"
-#include "mrc/engine.hh"
-#include "onepass/engine.hh"
-#include "onepass/model_timing.hh"
 #include "model/tradeoff.hh"
-#include "sample/engine.hh"
 #include "sample/sweep.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
 #include "util/table.hh"
-#include "util/thread_pool.hh"
 #include "util/units.hh"
 
 using namespace mlc;
@@ -84,41 +79,28 @@ using namespace mlc;
 int
 main(int argc, char **argv)
 {
+    std::vector<std::string> args;
+    engines::EngineOptions opts = engines::parseArgs(argc, argv, &args);
+    const bool sampled = opts.engine == engines::Engine::Sampled;
     std::uint64_t l1_total = 4096;
-    std::size_t jobs = defaultJobs();
-    std::size_t shards = 1;
-    bool use_onepass = false;
-    bool use_sampled = false;
-    bool use_mrc = false;
-    mrc::SamplerConfig sampler;
     std::uint64_t paired_a = 0, paired_b = 0;
     std::uint64_t l3_size = 0;
     std::uint32_t l3_cycles = 6, l3_assoc = 2;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (startsWith(arg, "--jobs=")) {
-            unsigned long long j = 0;
-            if (!parseUnsigned(arg.substr(7), j) || j < 1)
-                mlc_fatal("bad --jobs value in '", argv[i], "'");
-            jobs = static_cast<std::size_t>(j);
-        } else if (startsWith(arg, "--shards=")) {
-            unsigned long long s = 0;
-            if (!parseUnsigned(arg.substr(9), s) || s < 1)
-                mlc_fatal("bad --shards value in '", argv[i], "'");
-            shards = static_cast<std::size_t>(s);
-        } else if (startsWith(arg, "--paired=")) {
+    for (const std::string &a : args) {
+        const std::string_view arg = a;
+        if (startsWith(arg, "--paired=")) {
             const std::string value(arg.substr(9));
             const std::size_t comma = value.find(',');
-            unsigned long long a = 0, b = 0;
+            unsigned long long pa = 0, pb = 0;
             if (comma == std::string::npos ||
-                !parseUnsigned(value.substr(0, comma), a) ||
-                !parseUnsigned(value.substr(comma + 1), b) ||
-                a == 0 || b == 0)
-                mlc_fatal("bad --paired value in '", argv[i],
+                !parseUnsigned(value.substr(0, comma), pa) ||
+                !parseUnsigned(value.substr(comma + 1), pb) ||
+                pa == 0 || pb == 0)
+                mlc_fatal("bad --paired value in '", a,
                           "' (expected two L2 byte sizes, e.g. "
                           "--paired=65536,131072)");
-            paired_a = a;
-            paired_b = b;
+            paired_a = pa;
+            paired_b = pb;
         } else if (startsWith(arg, "--l3=")) {
             const std::vector<std::string> parts =
                 split(arg.substr(5), ',');
@@ -130,46 +112,21 @@ main(int argc, char **argv)
                  (!parseUnsigned(parts[1], cyc) || cyc == 0)) ||
                 (parts.size() > 2 &&
                  (!parseUnsigned(parts[2], assoc) || assoc == 0)))
-                mlc_fatal("bad --l3 value in '", argv[i],
+                mlc_fatal("bad --l3 value in '", a,
                           "' (expected SIZE[,CYCLES[,ASSOC]], "
                           "e.g. --l3=1M,6,4)");
             l3_size = size;
             l3_cycles = static_cast<std::uint32_t>(cyc);
             l3_assoc = static_cast<std::uint32_t>(assoc);
-        } else if (startsWith(arg, "--engine=")) {
-            const std::string_view engine = arg.substr(9);
-            if (engine == "onepass")
-                use_onepass = true;
-            else if (engine == "sampled")
-                use_sampled = true;
-            else if (engine == "mrc")
-                use_mrc = true;
-            else if (engine != "timing")
-                mlc_fatal("bad --engine value in '", argv[i],
-                          "' (expected 'timing', 'onepass', "
-                          "'sampled' or 'mrc')");
-        } else if (startsWith(arg, "--sample-rate=")) {
-            sampler.rate =
-                std::strtod(std::string(arg.substr(14)).c_str(),
-                            nullptr);
-            if (!(sampler.rate > 0.0) || sampler.rate > 1.0)
-                mlc_fatal("bad --sample-rate value in '", argv[i],
-                          "' (expected a rate in (0, 1])");
-        } else if (startsWith(arg, "--sample-budget=")) {
-            unsigned long long b = 0;
-            if (!parseUnsigned(arg.substr(16), b))
-                mlc_fatal("bad --sample-budget value in '",
-                          argv[i], "'");
-            sampler.budget = b;
         } else {
-            l1_total = std::strtoull(argv[i], nullptr, 0);
+            l1_total = std::strtoull(a.c_str(), nullptr, 0);
         }
     }
 
     hier::HierarchyParams base =
         hier::HierarchyParams::baseMachine().withL1Total(l1_total);
     if (l3_size != 0) {
-        if (use_sampled)
+        if (sampled)
             mlc_fatal("--l3 requires --engine=timing, onepass or "
                       "mrc (the sampled engine sweeps two-level "
                       "machines only)");
@@ -182,6 +139,8 @@ main(int argc, char **argv)
         base.levels.push_back(l3);
         base.busWidthWords.push_back(base.busWidthWords.back());
     }
+    if (paired_a != 0 && !sampled)
+        mlc_fatal("--paired requires --engine=sampled");
     std::cout << "machine: " << base.summary() << "\n";
 
     // A compact sweep (one trace, reduced axes) to stay
@@ -190,7 +149,7 @@ main(int argc, char **argv)
     specs[0].warmupRefs = 200'000;
     specs[0].measureRefs = 500'000;
     const expt::TraceStore store =
-        expt::TraceStore::materialize(specs, jobs);
+        expt::TraceStore::materialize(specs, opts.jobs);
 
     std::vector<std::uint64_t> sizes;
     for (std::uint64_t s = 16 << 10; s <= (2 << 20); s *= 4)
@@ -198,174 +157,18 @@ main(int argc, char **argv)
     const std::vector<std::uint32_t> cycles = {1, 2, 3, 4,
                                                5, 7, 10};
 
-    // Evaluate every cell into its own slot (solo curves measured
-    // along the 1-cycle column), then assemble in fixed order:
-    // identical output for any --jobs.
-    struct Cell
-    {
-        double rel = 0.0;
-        double solo = 0.0;
-    };
-    const std::size_t cols = cycles.size();
-    std::vector<Cell> slots(sizes.size() * cols);
-    if ((use_onepass || use_mrc) && l3_size != 0) {
-        // Cascade: the swept L2 sizes are the exactly-replayed
-        // pivots, the fixed L3 the single ghost-swept member. One
-        // pass yields profiles[pivot][trace]; each cell is priced
-        // by the depth-3 Equation 1-3 model (member index 0), and
-        // the solo column is the pivot's own solo curve.
-        onepass::CascadeFamilySpec family;
-        for (const std::uint64_t s : sizes)
-            family.pivots.push_back(
-                {s, base.levels[0].geometry.assoc,
-                 base.levels[0].geometry.blockBytes});
-        family.l3.configs.push_back(
-            {l3_size, l3_assoc,
-             base.levels[1].geometry.blockBytes});
-        std::vector<std::vector<onepass::TraceProfile>> profiles;
-        if (use_onepass) {
-            onepass::ProfileOptions popts;
-            popts.solo = true;
-            popts.shards = shards;
-            profiles = onepass::profileCascadeSuite(
-                base, family, store, jobs, popts);
-        } else {
-            mrc::MrcOptions mopts;
-            mopts.sampler = sampler;
-            mopts.solo = true;
-            profiles = mrc::profileCascadeSuite(base, family,
-                                                store, jobs, mopts);
-        }
-        const double n =
-            static_cast<double>(profiles.front().size());
-        for (std::size_t c = 0; c < cols; ++c) {
-            const onepass::EqTimingModel model =
-                onepass::EqTimingModel::forMachine(
-                    base.withL2(sizes[0], cycles[c]));
-            for (std::size_t s = 0; s < sizes.size(); ++s) {
-                Cell &cell = slots[s * cols + c];
-                for (const onepass::TraceProfile &prof :
-                     profiles[s]) {
-                    cell.rel += model.relExec(prof, 0) / n;
-                    if (c == 0)
-                        cell.solo += prof.pivotChain[0]
-                                         .solo.localMissRatio() /
-                                     n;
-                }
-            }
-        }
-    } else if (use_onepass) {
-        // One profiling pass covers every size (the cycle axis is
-        // timing-only); cells are then priced analytically and the
-        // solo miss curve comes from the same pass.
-        onepass::ProfileOptions popts;
-        popts.solo = true;
-        popts.shards = shards;
-        const onepass::FamilySpec family =
-            onepass::FamilySpec::l2Grid(base, sizes);
-        const auto profiles =
-            onepass::profileSuite(base, family, store, jobs, popts);
-        const double n = static_cast<double>(profiles.size());
-        for (std::size_t c = 0; c < cols; ++c) {
-            const onepass::EqTimingModel model =
-                onepass::EqTimingModel::forMachine(
-                    base.withL2(sizes[0], cycles[c]));
-            for (std::size_t s = 0; s < sizes.size(); ++s) {
-                Cell &cell = slots[s * cols + c];
-                for (const onepass::TraceProfile &prof : profiles) {
-                    cell.rel += model.relExec(prof, s) / n;
-                    if (c == 0)
-                        cell.solo += prof.configs[s]
-                                         .solo.localMissRatio() /
-                                     n;
-                }
-            }
-        }
-    } else if (use_mrc) {
-        // Same shape as the onepass branch, but the single
-        // profiling pass runs over a sampled subset of each
-        // member's sets (exact at --sample-rate=1.0); cells are
-        // priced from the rescaled estimates.
-        mrc::MrcOptions mopts;
-        mopts.sampler = sampler;
-        mopts.solo = true;
-        const onepass::FamilySpec family =
-            onepass::FamilySpec::l2Grid(base, sizes);
-        const auto profiles =
-            mrc::profileSuite(base, family, store, jobs, mopts);
-        const double n = static_cast<double>(profiles.size());
-        for (std::size_t c = 0; c < cols; ++c) {
-            const onepass::EqTimingModel model =
-                onepass::EqTimingModel::forMachine(
-                    base.withL2(sizes[0], cycles[c]));
-            for (std::size_t s = 0; s < sizes.size(); ++s) {
-                Cell &cell = slots[s * cols + c];
-                for (const onepass::TraceProfile &prof : profiles) {
-                    cell.rel += model.relExec(prof, s) / n;
-                    if (c == 0)
-                        cell.solo += prof.configs[s]
-                                         .solo.localMissRatio() /
-                                     n;
-                }
-            }
-        }
-    } else if (use_sampled) {
-        // A schedule proportioned to the interactive trace: ~40
-        // windows with high warming coverage, so the containment
-        // contract holds even at this small scale (DESIGN.md §5d).
-        sample::SampledOptions sopts;
-        sopts.period = store.span(0).size / 40;
-        sopts.measureRefs = sopts.period / 5;
-        sopts.detailWarmRefs = 2'000;
-        sopts.functionalWarmRefs = (sopts.period * 3) / 5;
-        // The whole grid shares one warming pass per window
-        // (checkpoint-and-branch, DESIGN.md §5e) — bit-identical to
-        // warming each cell on its own.
-        const expt::DesignSpaceGrid rel_grid =
-            sample::buildGridCheckpointed(base, sizes, cycles, store,
-                                          sopts, jobs);
-        for (std::size_t i = 0; i < slots.size(); ++i)
-            slots[i].rel = rel_grid.at(i / cols, i % cols);
-        // Solo curves need observation caches, which the shared
-        // warm state cannot carry (warmCompatible rejects them), so
-        // the 1-cycle column reruns straight-line for the ratios.
-        // Solo ratios are exact over the replayed subset, sampled
-        // with respect to the whole trace.
-        parallelFor(jobs, sizes.size(), [&](std::size_t s) {
-            hier::HierarchyParams p =
-                base.withL2(sizes[s], cycles[0]);
-            p.measureSolo = true;
-            const sample::SampledSuiteResults r =
-                sample::runSuiteSampled(p, store, sopts);
-            double solo = 0.0;
-            for (const sample::SampledResult &t : r.perTrace)
-                solo += t.functional.levels[1].soloMissRatio /
-                        static_cast<double>(r.perTrace.size());
-            slots[s * cols].solo = solo;
-        });
-    } else {
-        parallelFor(jobs, slots.size(), [&](std::size_t i) {
-            const std::size_t s = i / cols, c = i % cols;
-            hier::HierarchyParams p =
-                base.withL2(sizes[s], cycles[c]);
-            p.measureSolo = (c == 0);
-            const expt::SuiteResults r = expt::runSuite(p, store);
-            slots[i].rel = r.relExecTime;
-            if (c == 0)
-                slots[i].solo = r.soloMiss[0];
-        });
-    }
+    // The sampled engine's schedule, proportioned to the
+    // interactive trace: ~40 windows with high warming coverage, so
+    // the containment contract holds even at this small scale
+    // (DESIGN.md §5d).
+    opts.sampled.period = store.span(0).size / 40;
+    opts.sampled.measureRefs = opts.sampled.period / 5;
+    opts.sampled.detailWarmRefs = 2'000;
+    opts.sampled.functionalWarmRefs = (opts.sampled.period * 3) / 5;
 
-    expt::DesignSpaceGrid grid(sizes, cycles);
-    std::vector<std::pair<std::uint64_t, double>> miss_points;
-    for (std::size_t s = 0; s < sizes.size(); ++s) {
-        for (std::size_t c = 0; c < cols; ++c) {
-            grid.set(s, c, slots[s * cols + c].rel);
-            if (c == 0)
-                miss_points.emplace_back(sizes[s],
-                                         slots[s * cols].solo);
-        }
-    }
+    // Every cell independently priced, identical for any --jobs.
+    const expt::DesignSpaceGrid grid =
+        engines::buildGrid(opts, base, sizes, cycles, store);
 
     Table t;
     t.addColumn("L2 size", Align::Left);
@@ -380,19 +183,12 @@ main(int argc, char **argv)
     t.print(std::cout);
 
     if (paired_a != 0) {
-        if (!use_sampled)
-            mlc_fatal("--paired requires --engine=sampled");
         // Same windows, same warm state, two machines: the delta
         // interval shows what matched pairs buy over differencing
         // two absolute estimates.
-        sample::SampledOptions sopts;
-        sopts.period = store.span(0).size / 40;
-        sopts.measureRefs = sopts.period / 5;
-        sopts.detailWarmRefs = 2'000;
-        sopts.functionalWarmRefs = (sopts.period * 3) / 5;
         const sample::PairedResult pr = sample::runPaired(
             base.withL2(paired_a, 3), base.withL2(paired_b, 3),
-            store.span(0), sopts, jobs);
+            store.span(0), opts.sampled, opts.jobs);
         std::cout << "\nmatched-pair " << formatSize(paired_a)
                   << " vs " << formatSize(paired_b)
                   << " (3-cycle L2, " << pr.windowsPaired
@@ -431,7 +227,21 @@ main(int argc, char **argv)
               << cycles[best_c] << " cycles (rel " << best
               << ")\n";
 
-    // Compare with the analytic Equation-2 account.
+    // Compare with the analytic Equation-2 account, fitted to the
+    // L2 solo miss curve of one exact one-pass profile.
+    engines::EngineOptions exact = opts;
+    exact.engine = engines::Engine::OnePass;
+    const std::vector<onepass::TraceProfile> solo = engines::profile(
+        exact, base, {{}, onepass::FamilySpec::l2Grid(base, sizes)},
+        store, /*solo=*/true);
+    std::vector<std::pair<std::uint64_t, double>> miss_points;
+    for (std::size_t s = 0; s < sizes.size(); ++s) {
+        double ratio = 0.0;
+        for (const onepass::TraceProfile &prof : solo)
+            ratio += prof.configs[s].solo.localMissRatio() /
+                     static_cast<double>(solo.size());
+        miss_points.emplace_back(sizes[s], ratio);
+    }
     const model::MissRateModel fit =
         model::MissRateModel::fit(miss_points);
     std::cout << "\nfitted solo miss curve: factor "

@@ -8,6 +8,7 @@
  *                          [--jobs=N] [--shards=N]
  *                          [--engine=timing|onepass|sampled|mrc]
  *                          [--sample-rate=P] [--sample-budget=N]
+ *                          [--warm=N] [--paired]
  *
  * Arguments ending in .cfg are hierarchy descriptions; passing
  * several compares the machines over the same reference stream,
@@ -22,8 +23,9 @@
  * the one-pass miss-ratio engine instead of the timing simulator:
  * the reported miss ratios are exact (bit-identical to the
  * simulator's) while the timing numbers come from the Equation 1-3
- * analytical model. Two-level (L1 + one downstream cache)
- * configurations only.
+ * analytical model. A three-level machine is profiled by the
+ * cascade engine, its L2 the one exactly replayed pivot; deeper
+ * machines need the timing engine.
  *
  * --engine=sampled replays a scheduled subset of the stream through
  * the full timing simulator (statistical sampling, DESIGN.md §5d):
@@ -40,9 +42,10 @@
  * shape as --engine=onepass with approximate miss ratios at a
  * fraction of the tag state (exact at --sample-rate=1.0, the
  * default here). --sample-budget=N bounds live sampled lines
- * (adaptive mode). MLCT binary traces are streamed through the
- * profiler in fixed-size chunks with lazy validation, so the
- * trace never needs to fit in RAM. Two-level configurations only.
+ * (adaptive mode). Three-level machines replay their L1 and L2
+ * exactly and sample the L3. Under both one-pass engines an MLCT
+ * binary trace streams through the profiler in fixed-size chunks
+ * with lazy validation, so the trace never needs to fit in RAM.
  *
  * --engine=sampled --paired (exactly two .cfg files) additionally
  * runs the matched-pair comparison: both machines measure the same
@@ -60,11 +63,10 @@
 #include <string_view>
 #include <vector>
 
+#include "engines/engines.hh"
 #include "hier/config_file.hh"
 #include "hier/hierarchy.hh"
 #include "hier/sim_stats.hh"
-#include "mrc/engine.hh"
-#include "onepass/engine.hh"
 #include "onepass/model_timing.hh"
 #include "sample/engine.hh"
 #include "sample/sweep.hh"
@@ -100,89 +102,123 @@ readTraceFile(const std::string &path, std::uint64_t limit)
     return trace::collect(*source, limit);
 }
 
+/**
+ * The one-pass report (onepass or mrc engine, two or three levels):
+ * profile the machine's own family over @p refs, then one line per
+ * downstream level and the Equation 1-3 account.
+ */
+void
+reportProfile(std::ostream &os, const engines::EngineOptions &opts,
+              const hier::HierarchyParams &params, trace::RefSpan refs,
+              std::uint64_t warmup,
+              const trace::MappedBinaryTrace *mapped)
+{
+    const onepass::TraceProfile prof = std::move(engines::profile(
+        opts, params,
+        engines::familyFor(params,
+                           {params.levels[0].geometry.sizeBytes}),
+        refs, warmup, mapped, params.measureSolo)[0]);
+    const onepass::EqTimingModel model =
+        onepass::EqTimingModel::forMachine(params);
+    const bool cascade = !prof.pivotChain.empty();
+    const double rate = opts.sampler.rate;
+    if (opts.engine == engines::Engine::OnePass && cascade)
+        os << "one-pass cascade engine: exact miss ratios at every "
+              "level; timing from the Equation 1-3 model\n";
+    else if (opts.engine == engines::Engine::OnePass)
+        os << "one-pass engine: exact miss ratios; timing from the "
+              "Equation 1-3 model\n";
+    else if (cascade)
+        os << "mrc cascade engine: exact L1/L2 replay, sampled L3 "
+              "(rate " << rate
+           << "); timing from the Equation 1-3 model\n";
+    else
+        os << "mrc engine: sampled miss ratios (rate " << rate
+           << "); timing from the Equation 1-3 model\n";
+    os << "  instructions        " << prof.instructions << "\n"
+       << "  reads / writes      " << prof.cpuReads() << " / "
+       << prof.stores << "\n"
+       << "  L1 read misses      " << prof.l1ReadMisses << " of "
+       << prof.l1ReadRequests << " (ratio "
+       << prof.l1GlobalMissRatio() << ")\n";
+
+    // The downstream levels, outermost first: the replayed pivots,
+    // then the profiled member.
+    std::vector<onepass::PivotLink> levels = prof.pivotChain;
+    levels.push_back({prof.configs[0].spec, prof.configs[0].filtered,
+                      prof.configs[0].solo});
+    for (std::size_t k = 0; k < levels.size(); ++k) {
+        const onepass::GhostCounts &c = levels[k].counts;
+        os << "  L" << k + 2 << " read misses      " << c.readMisses
+           << " of " << c.reads << " (local " << c.localMissRatio()
+           << ", global " << c.globalMissRatio(prof.cpuReads())
+           << ")\n";
+    }
+    if (params.measureSolo)
+        for (std::size_t k = 0; k < levels.size(); ++k)
+            os << "  L" << k + 2 << " solo miss ratio  "
+               << levels[k].solo.localMissRatio() << "\n";
+    os << "  model latencies     nL2 " << model.nL2() << " cyc";
+    for (std::size_t k = 1; k < model.depth(); ++k)
+        os << ", nL" << k + 2 << " " << model.levelCycles(k) << " cyc";
+    os << ", nMMread " << model.nMMread() << " cyc, write extra "
+       << model.writeExtra() << " cyc\n"
+       << "  modelled CPI        " << model.cpi(prof, 0) << "\n"
+       << "  modelled rel exec   " << model.relExec(prof, 0) << "\n";
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    // --sample-rate defaults to 1.0 here: exact, like onepass.
+    mrc::SamplerConfig exact_rate;
+    exact_rate.rate = 1.0;
+    std::vector<std::string> args;
+    const engines::EngineOptions opts =
+        engines::parseArgs(argc, argv, &args, exact_rate);
+    const bool timing = opts.engine == engines::Engine::Timing;
+    const bool sampled = opts.engine == engines::Engine::Sampled;
     std::vector<std::string> config_paths;
     std::string trace_path;
     std::uint64_t refs = 1'500'000;
-    std::size_t jobs = defaultJobs();
-    std::size_t shards = 1;
     bool refs_given = false;
-    bool use_onepass = false;
-    bool use_sampled = false;
-    bool use_mrc = false;
-    mrc::SamplerConfig sampler;
-    sampler.rate = 1.0;
     bool paired = false;
     std::uint64_t fixed_warm = 0;
     bool warm_given = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (startsWith(arg, "--jobs=")) {
-            unsigned long long j = 0;
-            if (!parseUnsigned(arg.substr(7), j) || j < 1)
-                mlc_fatal("bad --jobs value in '", argv[i], "'");
-            jobs = static_cast<std::size_t>(j);
-        } else if (startsWith(arg, "--shards=")) {
-            unsigned long long s = 0;
-            if (!parseUnsigned(arg.substr(9), s) || s < 1)
-                mlc_fatal("bad --shards value in '", argv[i], "'");
-            shards = static_cast<std::size_t>(s);
-        } else if (arg == "--paired") {
+    for (const std::string &a : args) {
+        const std::string_view arg = a;
+        if (arg == "--paired") {
             paired = true;
         } else if (startsWith(arg, "--warm=")) {
             unsigned long long w = 0;
             if (!parseUnsigned(arg.substr(7), w))
-                mlc_fatal("bad --warm value in '", argv[i], "'");
+                mlc_fatal("bad --warm value in '", a, "'");
             fixed_warm = w;
             warm_given = true;
-        } else if (startsWith(arg, "--engine=")) {
-            const std::string_view engine = arg.substr(9);
-            if (engine == "onepass")
-                use_onepass = true;
-            else if (engine == "sampled")
-                use_sampled = true;
-            else if (engine == "mrc")
-                use_mrc = true;
-            else if (engine != "timing")
-                mlc_fatal("bad --engine value in '", argv[i],
-                          "' (expected 'timing', 'onepass', "
-                          "'sampled' or 'mrc')");
-        } else if (startsWith(arg, "--sample-rate=")) {
-            sampler.rate =
-                std::strtod(std::string(arg.substr(14)).c_str(),
-                            nullptr);
-            if (!(sampler.rate > 0.0) || sampler.rate > 1.0)
-                mlc_fatal("bad --sample-rate value in '", argv[i],
-                          "' (expected a rate in (0, 1])");
-        } else if (startsWith(arg, "--sample-budget=")) {
-            unsigned long long b = 0;
-            if (!parseUnsigned(arg.substr(16), b))
-                mlc_fatal("bad --sample-budget value in '",
-                          argv[i], "'");
-            sampler.budget = b;
         } else if (endsWith(arg, ".cfg")) {
-            config_paths.emplace_back(arg);
+            config_paths.push_back(a);
         } else if (trace_path.empty() && !refs_given &&
                    !arg.empty() &&
                    (arg[0] < '0' || arg[0] > '9')) {
-            trace_path = std::string(arg);
+            trace_path = a;
         } else if (!arg.empty()) {
-            refs = std::strtoull(argv[i], nullptr, 0);
+            refs = std::strtoull(a.c_str(), nullptr, 0);
             refs_given = true;
         }
     }
 
     if (config_paths.empty()) {
         std::cerr << "usage: hierarchy_explorer <config.cfg>... "
-                     "[trace] [refs] [--jobs=N] [--shards=N]\n";
+                     "[trace] [refs] [--jobs=N] [--shards=N]\n"
+                     "         [--engine=timing|onepass|sampled|mrc] "
+                     "[--sample-rate=P] [--sample-budget=N]\n"
+                     "         [--warm=N] [--paired]\n";
         return 1;
     }
-    if (paired && (!use_sampled || config_paths.size() != 2))
+    if (paired && (!sampled || config_paths.size() != 2))
         mlc_fatal("--paired requires --engine=sampled and exactly "
                   "two .cfg files (got ", config_paths.size(), ")");
 
@@ -191,11 +227,11 @@ main(int argc, char **argv)
     for (const auto &path : config_paths)
         params.push_back(hier::parseConfigFile(path));
 
-    if (use_onepass || use_mrc) {
+    if (!timing && !sampled) {
         for (std::size_t i = 0; i < params.size(); ++i) {
             if (params[i].levels.size() < 1 ||
                 params[i].levels.size() > 2)
-                mlc_fatal("--engine=", use_mrc ? "mrc" : "onepass",
+                mlc_fatal("--engine=", engines::engineName(opts.engine),
                           " prices two-level (L1 + one downstream "
                           "cache) and three-level (cascade) "
                           "hierarchies; ", config_paths[i],
@@ -218,15 +254,14 @@ main(int argc, char **argv)
         if (!endsWith(trace_path, ".din") &&
             !endsWith(trace_path, ".mlcz")) {
             // MLCT binary: map the file and replay it in place.
-            // The sampled engine validates only the ranges it
-            // replays, so skipped windows never touch their pages;
-            // the other engines replay everything and keep the
-            // eager construction-time scan.
+            // The sampled and one-pass engines validate only the
+            // ranges they replay, so skipped windows never touch
+            // their pages; the timing simulator keeps the eager
+            // construction-time scan.
             mapped = std::make_unique<trace::MappedBinaryTrace>(
                 trace_path, trace::MappedBinaryTrace::Backing::Auto,
-                use_sampled || use_mrc
-                    ? trace::MappedBinaryTrace::Validation::Lazy
-                    : trace::MappedBinaryTrace::Validation::Eager);
+                timing ? trace::MappedBinaryTrace::Validation::Eager
+                       : trace::MappedBinaryTrace::Validation::Lazy);
             replay_all = mapped->span().first(warmup + refs);
         } else {
             stream = readTraceFile(trace_path, warmup + refs);
@@ -249,7 +284,7 @@ main(int argc, char **argv)
     // --warm=N or derived per machine from the measured stack-depth
     // tail of the trace prefix.
     sample::SampledOptions sopts;
-    if (use_sampled) {
+    if (sampled) {
         sopts.period = replay_all.size / 40;
         sopts.measureRefs = sopts.period / 5;
         sopts.detailWarmRefs = 2'000;
@@ -263,170 +298,14 @@ main(int argc, char **argv)
     // One buffered report per configuration, printed in
     // command-line order below no matter how simulations finish.
     std::vector<std::string> reports(params.size());
-    parallelFor(jobs, params.size(), [&](std::size_t i) {
+    parallelFor(opts.jobs, params.size(), [&](std::size_t i) {
         std::ostringstream os;
         os << "machine: " << params[i].summary() << "\n"
            << "trace: " << stream_name << "\n\n";
-        if ((use_onepass || use_mrc) &&
-            params[i].levels.size() == 2) {
-            // Three-level machine: cascade profile — the L2 is the
-            // (single) pivot, replayed exactly; the L3 is the
-            // (single) member, exact under onepass, sampled under
-            // mrc.
-            const cache::CacheParams &l2p = params[i].levels[0];
-            const cache::CacheParams &l3p = params[i].levels[1];
-            onepass::CascadeFamilySpec cf;
-            cf.pivots.push_back({l2p.geometry.sizeBytes,
-                                 l2p.geometry.assoc,
-                                 l2p.geometry.blockBytes});
-            cf.l3.configs.push_back({l3p.geometry.sizeBytes,
-                                     l3p.geometry.assoc,
-                                     l3p.geometry.blockBytes});
-            onepass::TraceProfile prof;
-            if (use_onepass) {
-                onepass::ProfileOptions popts;
-                popts.solo = params[i].measureSolo;
-                popts.shards = shards;
-                prof = std::move(onepass::profileCascadeTrace(
-                    params[i], cf, replay_all, warmup, popts)[0]);
-            } else {
-                mrc::MrcOptions mopts;
-                mopts.sampler = sampler;
-                mopts.solo = params[i].measureSolo;
-                // The cascade profiler replays the span in place:
-                // vet the mapped records first (the streaming
-                // chunk-validation path does not apply here).
-                if (mapped)
-                    mapped->validateRange(0, replay_all.size);
-                prof = std::move(mrc::profileCascadeTrace(
-                    params[i], cf, replay_all, warmup, mopts)[0]);
-            }
-            const onepass::EqTimingModel model =
-                onepass::EqTimingModel::forMachine(params[i]);
-            const onepass::PivotLink &l2 = prof.pivotChain[0];
-            const onepass::ConfigProfile &l3 = prof.configs[0];
-            if (use_onepass)
-                os << "one-pass cascade engine: exact miss ratios "
-                      "at every level; timing from the Equation "
-                      "1-3 model\n";
-            else
-                os << "mrc cascade engine: exact L1/L2 replay, "
-                      "sampled L3 (rate " << sampler.rate
-                   << "); timing from the Equation 1-3 model\n";
-            os << "  instructions        " << prof.instructions
-               << "\n"
-               << "  reads / writes      " << prof.cpuReads()
-               << " / " << prof.stores << "\n"
-               << "  L1 read misses      " << prof.l1ReadMisses
-               << " of " << prof.l1ReadRequests << " (ratio "
-               << prof.l1GlobalMissRatio() << ")\n"
-               << "  L2 read misses      " << l2.counts.readMisses
-               << " of " << l2.counts.reads << " (local "
-               << l2.counts.localMissRatio() << ", global "
-               << l2.counts.globalMissRatio(prof.cpuReads())
-               << ")\n"
-               << "  L3 read misses      "
-               << l3.filtered.readMisses << " of "
-               << l3.filtered.reads << " (local "
-               << l3.filtered.localMissRatio() << ", global "
-               << l3.filtered.globalMissRatio(prof.cpuReads())
-               << ")\n";
-            if (params[i].measureSolo)
-                os << "  L2 solo miss ratio  "
-                   << l2.solo.localMissRatio() << "\n"
-                   << "  L3 solo miss ratio  "
-                   << l3.solo.localMissRatio() << "\n";
-            os << "  model latencies     nL2 " << model.nL2()
-               << " cyc, nL3 " << model.levelCycles(1)
-               << " cyc, nMMread " << model.nMMread()
-               << " cyc, write extra " << model.writeExtra()
-               << " cyc\n"
-               << "  modelled CPI        " << model.cpi(prof, 0)
-               << "\n"
-               << "  modelled rel exec   " << model.relExec(prof, 0)
-               << "\n";
-        } else if (use_onepass) {
-            const onepass::FamilySpec family =
-                onepass::FamilySpec::l2Grid(
-                    params[i],
-                    {params[i].levels[0].geometry.sizeBytes});
-            onepass::ProfileOptions popts;
-            popts.solo = params[i].measureSolo;
-            popts.shards = shards;
-            const onepass::TraceProfile prof = onepass::profileTrace(
-                params[i], family, replay_all, warmup, popts);
-            const onepass::EqTimingModel model =
-                onepass::EqTimingModel::forMachine(params[i]);
-            const onepass::ConfigProfile &cfg = prof.configs[0];
-            os << "one-pass engine: exact miss ratios; timing from "
-                  "the Equation 1-3 model\n"
-               << "  instructions        " << prof.instructions
-               << "\n"
-               << "  reads / writes      " << prof.cpuReads()
-               << " / " << prof.stores << "\n"
-               << "  L1 read misses      " << prof.l1ReadMisses
-               << " of " << prof.l1ReadRequests << " (ratio "
-               << prof.l1GlobalMissRatio() << ")\n"
-               << "  L2 read misses      " << cfg.filtered.readMisses
-               << " of " << cfg.filtered.reads << " (local "
-               << cfg.filtered.localMissRatio() << ", global "
-               << cfg.filtered.globalMissRatio(prof.cpuReads())
-               << ")\n";
-            if (params[i].measureSolo)
-                os << "  L2 solo miss ratio  "
-                   << cfg.solo.localMissRatio() << "\n";
-            os << "  model latencies     nL2 " << model.nL2()
-               << " cyc, nMMread " << model.nMMread()
-               << " cyc, write extra " << model.writeExtra()
-               << " cyc\n"
-               << "  modelled CPI        " << model.cpi(prof, 0)
-               << "\n"
-               << "  modelled rel exec   " << model.relExec(prof, 0)
-               << "\n";
-        } else if (use_mrc) {
-            const onepass::FamilySpec family =
-                onepass::FamilySpec::l2Grid(
-                    params[i],
-                    {params[i].levels[0].geometry.sizeBytes});
-            mrc::MrcOptions mopts;
-            mopts.sampler = sampler;
-            mopts.solo = params[i].measureSolo;
-            // A mapped MLCT trace streams whole through the
-            // profiler — chunked validation, pages released as
-            // consumed — so the file never needs to fit in RAM.
-            // Other sources replay the materialized prefix.
-            const onepass::TraceProfile prof =
-                mapped ? mrc::profileMapped(params[i], family,
-                                            *mapped, warmup, mopts)
-                       : mrc::profileTrace(params[i], family,
-                                           replay_all, warmup,
-                                           mopts);
-            const onepass::EqTimingModel model =
-                onepass::EqTimingModel::forMachine(params[i]);
-            const onepass::ConfigProfile &cfg = prof.configs[0];
-            os << "mrc engine: sampled miss ratios (rate "
-               << sampler.rate << "); timing from the Equation 1-3 "
-                  "model\n"
-               << "  instructions        " << prof.instructions
-               << "\n"
-               << "  reads / writes      " << prof.cpuReads()
-               << " / " << prof.stores << "\n"
-               << "  L1 read misses      " << prof.l1ReadMisses
-               << " of " << prof.l1ReadRequests << " (ratio "
-               << prof.l1GlobalMissRatio() << ")\n"
-               << "  L2 read misses      " << cfg.filtered.readMisses
-               << " of " << cfg.filtered.reads << " (local "
-               << cfg.filtered.localMissRatio() << ", global "
-               << cfg.filtered.globalMissRatio(prof.cpuReads())
-               << ")\n";
-            if (params[i].measureSolo)
-                os << "  L2 solo miss ratio  "
-                   << cfg.solo.localMissRatio() << "\n";
-            os << "  modelled CPI        " << model.cpi(prof, 0)
-               << "\n"
-               << "  modelled rel exec   " << model.relExec(prof, 0)
-               << "\n";
-        } else if (use_sampled) {
+        if (!timing && !sampled) {
+            reportProfile(os, opts, params[i], replay_all, warmup,
+                          mapped.get());
+        } else if (sampled) {
             // The sampled engine schedules its own warming, so it
             // takes the whole stream (warmup included) and the
             // explicit warmUp() of the timing path is not needed.
@@ -484,7 +363,7 @@ main(int argc, char **argv)
         // narrower) interval.
         const sample::PairedResult pr =
             sample::runPaired(params[0], params[1], replay_all,
-                              sopts, jobs, mapped.get());
+                              sopts, opts.jobs, mapped.get());
         std::cout << "\n========================================"
                      "==================\n\n"
                   << "matched-pair comparison ("

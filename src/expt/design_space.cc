@@ -19,8 +19,9 @@ DesignSpaceGrid::DesignSpaceGrid(std::vector<std::uint64_t> sizes,
                                  std::vector<std::uint32_t> cycles)
     : sizes_(std::move(sizes)), cycles_(std::move(cycles))
 {
-    if (sizes_.size() < 2 || cycles_.size() < 2)
-        mlc_panic("design-space grid needs at least 2x2 points");
+    if (sizes_.empty() || cycles_.empty())
+        mlc_panic("design-space grid needs at least one size and "
+                  "one cycle time");
     if (!std::is_sorted(sizes_.begin(), sizes_.end()) ||
         !std::is_sorted(cycles_.begin(), cycles_.end()))
         mlc_panic("design-space axes must be ascending");

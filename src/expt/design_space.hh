@@ -36,6 +36,9 @@ class DesignSpaceGrid
     /**
      * @param sizes ascending power-of-two L2 sizes (bytes).
      * @param cycles ascending integer L2 cycle times (CPU cycles).
+     * Any non-empty axes will do, 1x1 included; the contour devices
+     * below simply find nothing to interpolate on a single row or
+     * column.
      */
     DesignSpaceGrid(std::vector<std::uint64_t> sizes,
                     std::vector<std::uint32_t> cycles);

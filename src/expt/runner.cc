@@ -18,16 +18,6 @@ runOnTrace(const hier::HierarchyParams &params,
     return sim.results();
 }
 
-hier::SimResults
-runOnTrace(const hier::HierarchyParams &params,
-           const std::vector<trace::MemRef> &refs,
-           std::uint64_t warmup_refs)
-{
-    return runOnTrace(
-        params, trace::RefSpan{refs.data(), refs.size()},
-        warmup_refs);
-}
-
 SuiteResults
 runSuite(const hier::HierarchyParams &params,
          const std::vector<TraceSpec> &specs)

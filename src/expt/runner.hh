@@ -45,11 +45,6 @@ hier::SimResults runOnTrace(const hier::HierarchyParams &params,
                             trace::RefSpan refs,
                             std::uint64_t warmup_refs);
 
-/** Vector convenience overload of the span version above. */
-hier::SimResults runOnTrace(const hier::HierarchyParams &params,
-                            const std::vector<trace::MemRef> &refs,
-                            std::uint64_t warmup_refs);
-
 /**
  * Run @p params over every trace in @p specs (materializing each)
  * and average. Set params.measureSolo for solo curves.

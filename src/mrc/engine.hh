@@ -20,7 +20,7 @@
  *
  * Everything else is the exact engine's: the L1Filter replay is
  * exact (its state is the L1's, bounded by the L1's size), profiles
- * come out as onepass::TraceProfile, and onepass::gridFromProfiles /
+ * come out as onepass::TraceProfile, and onepass::price /
  * EqTimingModel price them unchanged. At rate 1.0 the output is
  * bit-identical to onepass::profileTrace — the sampled engine *is*
  * the exact engine with a filter whose pass rate happens to be 1.
@@ -94,12 +94,6 @@ profileTrace(const hier::HierarchyParams &base,
              const onepass::FamilySpec &family, trace::RefSpan refs,
              std::uint64_t warmup_refs, const MrcOptions &opts = {});
 
-onepass::TraceProfile
-profileTrace(const hier::HierarchyParams &base,
-             const onepass::FamilySpec &family,
-             const std::vector<trace::MemRef> &refs,
-             std::uint64_t warmup_refs, const MrcOptions &opts = {});
-
 /**
  * Stream an mmap'd binary trace through the pipeline in
  * streamChunkRefs-sized chunks, validating each chunk before replay
@@ -111,14 +105,6 @@ profileMapped(const hier::HierarchyParams &base,
               const onepass::FamilySpec &family,
               const trace::MappedBinaryTrace &mapped,
               std::uint64_t warmup_refs, const MrcOptions &opts = {});
-
-/** Sampled counterpart of onepass::profileSuite: parallel across
- *  traces, output order fixed — bit-identical for any @p jobs. */
-std::vector<onepass::TraceProfile>
-profileSuite(const hier::HierarchyParams &base,
-             const onepass::FamilySpec &family,
-             const expt::TraceStore &store, std::size_t jobs = 1,
-             const MrcOptions &opts = {});
 
 /**
  * Sampled counterpart of onepass::profileCascadeTrace: the L1
@@ -135,32 +121,6 @@ profileCascadeTrace(const hier::HierarchyParams &base,
                     const onepass::CascadeFamilySpec &family,
                     trace::RefSpan refs, std::uint64_t warmup_refs,
                     const MrcOptions &opts = {});
-
-std::vector<onepass::TraceProfile>
-profileCascadeTrace(const hier::HierarchyParams &base,
-                    const onepass::CascadeFamilySpec &family,
-                    const std::vector<trace::MemRef> &refs,
-                    std::uint64_t warmup_refs,
-                    const MrcOptions &opts = {});
-
-/** Sampled counterpart of onepass::profileCascadeSuite: parallel
- *  across traces, output [pivot][trace], bit-identical for any
- *  @p jobs. */
-std::vector<std::vector<onepass::TraceProfile>>
-profileCascadeSuite(const hier::HierarchyParams &base,
-                    const onepass::CascadeFamilySpec &family,
-                    const expt::TraceStore &store,
-                    std::size_t jobs = 1, const MrcOptions &opts = {});
-
-/** Sampled counterpart of onepass::buildGrid: profile the L2 family
- *  once per trace at the sampled rate, then price every (size,
- *  cycle) cell analytically via onepass::gridFromProfiles. */
-expt::DesignSpaceGrid
-buildGrid(const hier::HierarchyParams &base,
-          const std::vector<std::uint64_t> &sizes,
-          const std::vector<std::uint32_t> &cycles,
-          const expt::TraceStore &store, std::size_t jobs = 1,
-          const SamplerConfig &sampler = {});
 
 } // namespace mrc
 } // namespace mlc

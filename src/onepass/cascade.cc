@@ -2,7 +2,6 @@
 
 #include "onepass/pipeline.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace mlc {
 namespace onepass {
@@ -98,43 +97,7 @@ profileCascadeTrace(const hier::HierarchyParams &base,
     Pipeline<ExactSinks> pipe(base, family.pivots, family.l3,
                               warmup_refs, opts.solo, opts.faBound,
                               ExactSinks{opts.shards});
-    pipe.feedAll(refs);
-    return pipe.finish();
-}
-
-std::vector<TraceProfile>
-profileCascadeTrace(const hier::HierarchyParams &base,
-                    const CascadeFamilySpec &family,
-                    const std::vector<trace::MemRef> &refs,
-                    std::uint64_t warmup_refs,
-                    const ProfileOptions &opts)
-{
-    return profileCascadeTrace(base, family,
-                               trace::RefSpan{refs.data(),
-                                              refs.size()},
-                               warmup_refs, opts);
-}
-
-std::vector<std::vector<TraceProfile>>
-profileCascadeSuite(const hier::HierarchyParams &base,
-                    const CascadeFamilySpec &family,
-                    const expt::TraceStore &store, std::size_t jobs,
-                    const ProfileOptions &opts)
-{
-    const std::size_t n_traces = store.size();
-    std::vector<std::vector<TraceProfile>> out(
-        family.pivots.size(),
-        std::vector<TraceProfile>(n_traces));
-    parallelFor(jobs, n_traces, [&](std::size_t t) {
-        std::vector<TraceProfile> per_pivot = profileCascadeTrace(
-            base, family, store.traces()[t],
-            expt::scaledWarmup(store.specs()[t]), opts);
-        for (std::size_t p = 0; p < per_pivot.size(); ++p) {
-            per_pivot[p].traceName = store.specs()[t].name;
-            out[p][t] = std::move(per_pivot[p]);
-        }
-    });
-    return out;
+    return pipe.run(refs);
 }
 
 } // namespace onepass

@@ -43,7 +43,10 @@ namespace onepass {
 
 /** The joint family profiled by one cascade pass: every pivot
  *  (intermediate, exactly-replayed) configuration crossed with
- *  every downstream family member. */
+ *  every downstream family member. Without pivots it is a plain
+ *  two-level family, l3 holding the members profiled at the L2's
+ *  position (the form profileStore and the engines take for both
+ *  depths). */
 struct CascadeFamilySpec
 {
     /** L2 configurations, one exact filtered replay each. */
@@ -183,27 +186,6 @@ std::vector<TraceProfile>
 profileCascadeTrace(const hier::HierarchyParams &base,
                     const CascadeFamilySpec &family,
                     trace::RefSpan refs, std::uint64_t warmup_refs,
-                    const ProfileOptions &opts = {});
-
-/** Convenience overload for materialized vectors. */
-std::vector<TraceProfile>
-profileCascadeTrace(const hier::HierarchyParams &base,
-                    const CascadeFamilySpec &family,
-                    const std::vector<trace::MemRef> &refs,
-                    std::uint64_t warmup_refs,
-                    const ProfileOptions &opts = {});
-
-/**
- * Cascade-profile every trace of @p store, parallel across traces
- * (shards parallelize within each trace's sweeps). Indexed
- * [pivot][trace], so out[p] is directly a two-level-style profile
- * vector for pivot p. Bit-identical for any @p jobs.
- */
-std::vector<std::vector<TraceProfile>>
-profileCascadeSuite(const hier::HierarchyParams &base,
-                    const CascadeFamilySpec &family,
-                    const expt::TraceStore &store,
-                    std::size_t jobs = 1,
                     const ProfileOptions &opts = {});
 
 } // namespace onepass

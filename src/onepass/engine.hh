@@ -96,8 +96,8 @@ struct ProfileOptions
      * Results are bit-identical for every value — sets are
      * independent, each is owned by exactly one shard, and the
      * per-shard counts merge in fixed order (DESIGN.md §5f).
-     * Composes with profileSuite's jobs: shards parallelize
-     * *within* one trace, jobs across traces.
+     * Composes with a suite's jobs: shards parallelize *within*
+     * one trace, jobs across traces.
      */
     std::size_t shards = 1;
 };
@@ -182,24 +182,6 @@ TraceProfile profileTrace(const hier::HierarchyParams &base,
                           trace::RefSpan refs,
                           std::uint64_t warmup_refs,
                           const ProfileOptions &opts = {});
-
-/** Convenience overload for materialized vectors. */
-TraceProfile profileTrace(const hier::HierarchyParams &base,
-                          const FamilySpec &family,
-                          const std::vector<trace::MemRef> &refs,
-                          std::uint64_t warmup_refs,
-                          const ProfileOptions &opts = {});
-
-/**
- * Profile every trace of @p store, parallel across (trace x
- * block-size group) tasks. Each task writes into its own pre-sized
- * slot and results are merged in trace-then-family order, so the
- * output is bit-identical for any @p jobs.
- */
-std::vector<TraceProfile>
-profileSuite(const hier::HierarchyParams &base,
-             const FamilySpec &family, const expt::TraceStore &store,
-             std::size_t jobs = 1, const ProfileOptions &opts = {});
 
 } // namespace onepass
 } // namespace mlc

@@ -84,8 +84,8 @@ struct GhostCounts
 
 /** Distinct block sizes in first-appearance order, with the member
  *  indices using each: the members that share one address decode
- *  in a ghost forest (exact or sampled), one FA-LRU analyzer in the
- *  profiling pipeline, and one parallel task in profileSuite. */
+ *  in a ghost forest (exact or sampled) and one FA-LRU analyzer in
+ *  the profiling pipeline. */
 struct BlockGroup
 {
     std::uint32_t blockBytes;

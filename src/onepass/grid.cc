@@ -1,27 +1,44 @@
 #include "onepass/grid.hh"
 
+#include <algorithm>
+
 #include "onepass/model_timing.hh"
+#include "onepass/pipeline.hh"
 #include "util/logging.hh"
 
 namespace mlc {
 namespace onepass {
 
-expt::DesignSpaceGrid
-gridFromProfiles(const hier::HierarchyParams &base,
-                 const std::vector<std::uint64_t> &sizes,
-                 const std::vector<std::uint32_t> &cycles,
-                 const std::vector<TraceProfile> &profiles)
-{
-    if (profiles.empty())
-        mlc_panic("gridFromProfiles: no trace profiles");
-    for (const TraceProfile &p : profiles)
-        if (p.configs.size() != sizes.size())
-            mlc_panic("gridFromProfiles: profile '", p.traceName,
-                      "' has ", p.configs.size(),
-                      " configs for ", sizes.size(), " sizes");
+namespace {
 
-    const std::uint32_t assoc =
-        base.levels.empty() ? 1 : base.levels[0].geometry.assoc;
+/** Index of the @p size_bytes configuration among @p specs. */
+std::size_t
+indexOf(const std::vector<GhostCacheSpec> &specs,
+        std::uint64_t size_bytes)
+{
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        if (specs[i].sizeBytes == size_bytes)
+            return i;
+    mlc_panic("price: no ", size_bytes,
+              "-byte configuration in the profiled family");
+}
+
+} // namespace
+
+expt::DesignSpaceGrid
+price(const hier::HierarchyParams &base,
+      const CascadeFamilySpec &family,
+      const std::vector<TraceProfile> &profiles,
+      const std::vector<std::uint64_t> &sizes,
+      const std::vector<std::uint32_t> &cycles)
+{
+    const bool cascade = !family.pivots.empty();
+    const std::size_t traces =
+        profiles.size() / std::max<std::size_t>(family.pivots.size(), 1);
+    if (traces == 0 || (cascade && base.levels.size() < 2))
+        mlc_panic("price: no trace profiles, or a cascade family on a "
+                  "machine without an L3");
+    const std::uint32_t assoc = base.levels[0].geometry.assoc;
     expt::DesignSpaceGrid grid(sizes, cycles);
     for (std::size_t c = 0; c < cycles.size(); ++c) {
         // The model depends on the cycle axis only (n_L2 scales
@@ -30,11 +47,17 @@ gridFromProfiles(const hier::HierarchyParams &base,
         const EqTimingModel model = EqTimingModel::forMachine(
             base.withL2(sizes[0], cycles[c], assoc));
         for (std::size_t s = 0; s < sizes.size(); ++s) {
+            // Depth 2: the member of this size. Depth 3: the pivot's
+            // row, priced with the machine's own L3.
+            const std::size_t row =
+                cascade ? indexOf(family.pivots, sizes[s]) : 0;
+            const std::size_t member = indexOf(
+                family.l3.configs,
+                cascade ? base.levels[1].geometry.sizeBytes : sizes[s]);
             double sum = 0.0;
-            for (const TraceProfile &p : profiles)
-                sum += model.relExec(p, s);
-            grid.set(s, c,
-                     sum / static_cast<double>(profiles.size()));
+            for (std::size_t t = 0; t < traces; ++t)
+                sum += model.relExec(profiles[row * traces + t], member);
+            grid.set(s, c, sum / static_cast<double>(traces));
         }
     }
     return grid;
@@ -47,12 +70,11 @@ buildGrid(const hier::HierarchyParams &base,
           const expt::TraceStore &store, std::size_t jobs,
           std::size_t shards)
 {
-    const FamilySpec family = FamilySpec::l2Grid(base, sizes);
-    ProfileOptions opts;
-    opts.shards = shards;
-    const std::vector<TraceProfile> profiles =
-        profileSuite(base, family, store, jobs, opts);
-    return gridFromProfiles(base, sizes, cycles, profiles);
+    const CascadeFamilySpec family{{}, FamilySpec::l2Grid(base, sizes)};
+    return price(base, family,
+                 profileStore(base, family, store, jobs, false, false,
+                              ExactSinks{shards}),
+                 sizes, cycles);
 }
 
 } // namespace onepass

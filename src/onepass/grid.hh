@@ -20,6 +20,7 @@
 #include "expt/design_space.hh"
 #include "expt/workload_suite.hh"
 #include "hier/hierarchy_config.hh"
+#include "onepass/cascade.hh"
 #include "onepass/engine.hh"
 
 namespace mlc {
@@ -30,9 +31,8 @@ namespace onepass {
  * every (size, cycle) cell with the suite-mean relative execution
  * time of base.withL2(size, cycle) under EqTimingModel. The result
  * is bit-identical for any @p jobs and any @p shards: jobs
- * parallelizes across (trace x block-size group) tasks, shards
- * set-partitions the forest sweep within each task
- * (ProfileOptions::shards).
+ * parallelizes across traces, shards set-partitions the forest
+ * sweep within each trace (ProfileOptions::shards).
  */
 expt::DesignSpaceGrid
 buildGrid(const hier::HierarchyParams &base,
@@ -42,17 +42,22 @@ buildGrid(const hier::HierarchyParams &base,
           std::size_t shards = 1);
 
 /**
- * The same grid from profiles already computed (parallel to
- * @p store's traces and to the FamilySpec::l2Grid of @p sizes),
- * serial and deterministic. Exposed so callers that need the
- * profiles for other outputs too (solo curves, miss tables) pay
- * for profiling once.
+ * Price every (size, cycle) cell from @p profiles, the profiles of
+ * @p family over a trace store in profileStore's pivot-major order:
+ * the suite-mean relative execution time of base.withL2(size,
+ * cycle) under EqTimingModel. At depth 2 each size names a member
+ * of family.l3; at depth 3 it names a pivot, whose row is priced
+ * with the member matching base.levels[1]. The family may hold more
+ * configurations than the grid asks for; every cell's value is
+ * independent of the others. Panics when a size or the L3 is
+ * missing from the family.
  */
 expt::DesignSpaceGrid
-gridFromProfiles(const hier::HierarchyParams &base,
-                 const std::vector<std::uint64_t> &sizes,
-                 const std::vector<std::uint32_t> &cycles,
-                 const std::vector<TraceProfile> &profiles);
+price(const hier::HierarchyParams &base,
+      const CascadeFamilySpec &family,
+      const std::vector<TraceProfile> &profiles,
+      const std::vector<std::uint64_t> &sizes,
+      const std::vector<std::uint32_t> &cycles);
 
 } // namespace onepass
 } // namespace mlc

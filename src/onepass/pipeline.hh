@@ -2,7 +2,8 @@
  * @file
  * The one profiling pipeline behind every one-pass engine: exact
  * (onepass::profileTrace), cascade (profileCascadeTrace) and sampled
- * (mrc::profileTrace, profileMapped, profileCascadeTrace).
+ * (mrc::profileTrace, profileMapped, profileCascadeTrace), with
+ * profileStore() the one loop that runs it across a trace store.
  *
  *   refs ─▶ L1Filter ─▶ FilteredEventLog ─┬──────────────────────▶ member sink
  *                                         └▶ CascadeFilter(pivot p) ─▶ member sink p
@@ -32,8 +33,10 @@
 #include "onepass/engine.hh"
 #include "onepass/l1_filter.hh"
 #include "onepass/sharded.hh"
+#include "trace/binary.hh"
 #include "trace/stack_distance.hh"
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace mlc {
 namespace onepass {
@@ -231,18 +234,37 @@ class Pipeline
         replay(chunk, warm_at);
     }
 
-    /** Feed all of @p refs in chunks of kChunkRefs. */
-    void
-    feedAll(trace::RefSpan refs)
+    /**
+     * Feed all of @p refs, @p chunk_refs at a time (0 = one chunk),
+     * and finish(). When @p refs is a prefix of @p mapped, each chunk
+     * is validated before its replay and its pages are released
+     * after, so a mapped trace streams through in O(chunk) memory.
+     */
+    std::vector<TraceProfile>
+    run(trace::RefSpan refs,
+        const trace::MappedBinaryTrace *mapped = nullptr,
+        std::size_t chunk_refs = kChunkRefs)
     {
-        for (std::size_t at = 0; at < refs.size; at += kChunkRefs)
-            feed(refs.dropFirst(at).first(kChunkRefs));
+        if (mapped)
+            mapped->adviseSequential();
+        const std::size_t chunk =
+            chunk_refs == 0 ? std::max<std::size_t>(refs.size, 1)
+                            : chunk_refs;
+        for (std::size_t at = 0; at < refs.size; at += chunk) {
+            const trace::RefSpan part = refs.dropFirst(at).first(chunk);
+            if (mapped)
+                mapped->validateRange(at, part.size);
+            feed(part);
+            if (mapped)
+                mapped->releaseConsumed(at + part.size);
+        }
+        return finish();
     }
 
     /** One TraceProfile per pivot, in pivot order (one in all for a
      *  two-level family): the post-warm-up reference mix, the
      *  family's counts and, for a cascade, the pivot's link. Call
-     *  once, after the last chunk. */
+     *  once, after the last chunk (run() calls it). */
     std::vector<TraceProfile>
     finish()
     {
@@ -327,6 +349,36 @@ class Pipeline
      *  a two-level family). */
     std::vector<FamilySink<Sinks>> memberSinks_;
 };
+
+/**
+ * Profile @p family over every trace of @p store, one Pipeline per
+ * trace at the trace's scaled warm-up, traces spread over @p jobs
+ * workers. Returns the profiles pivot-major, out[p * store.size() +
+ * t] (one row for a two-level family), each named after its trace;
+ * bit-identical for any @p jobs.
+ */
+template <typename Sinks>
+std::vector<TraceProfile>
+profileStore(const hier::HierarchyParams &base,
+             const CascadeFamilySpec &family,
+             const expt::TraceStore &store, std::size_t jobs,
+             bool solo, bool fa_bound, const Sinks &sinks)
+{
+    const std::size_t traces = store.size();
+    std::vector<TraceProfile> out(
+        std::max<std::size_t>(family.pivots.size(), 1) * traces);
+    parallelFor(jobs, traces, [&](std::size_t t) {
+        Pipeline<Sinks> pipe(base, family.pivots, family.l3,
+                             expt::scaledWarmup(store.specs()[t]),
+                             solo, fa_bound, sinks);
+        std::vector<TraceProfile> per_pivot = pipe.run(store.span(t));
+        for (std::size_t p = 0; p < per_pivot.size(); ++p) {
+            per_pivot[p].traceName = store.specs()[t].name;
+            out[p * traces + t] = std::move(per_pivot[p]);
+        }
+    });
+    return out;
+}
 
 } // namespace onepass
 } // namespace mlc

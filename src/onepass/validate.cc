@@ -1,7 +1,7 @@
 #include "onepass/validate.hh"
 
 #include "expt/runner.hh"
-#include "util/logging.hh"
+#include "onepass/pipeline.hh"
 #include "util/thread_pool.hh"
 
 namespace mlc {
@@ -52,77 +52,33 @@ CrossCheckReport::print(std::ostream &os) const
        << rows.size() << " pairs mismatch\n";
 }
 
-CrossCheckReport
-crossCheck(const hier::HierarchyParams &base,
-           const FamilySpec &family, const expt::TraceStore &store,
-           std::size_t jobs, bool solo)
+namespace {
+
+/** Reshape @p level to @p spec (fetch == block, so finalize() never
+ *  sees a stale sub-block/fetch-group ratio). */
+void
+reshape(cache::CacheParams &level, const GhostCacheSpec &spec)
 {
-    ProfileOptions opts;
-    opts.solo = solo;
-    const std::vector<TraceProfile> profiles =
-        profileSuite(base, family, store, jobs, opts);
-
-    const std::size_t n_configs = family.configs.size();
-    const std::size_t n_rows = store.size() * n_configs;
-    CrossCheckReport report;
-    report.rows.resize(n_rows);
-
-    parallelFor(jobs, n_rows, [&](std::size_t i) {
-        const std::size_t t = i / n_configs;
-        const std::size_t c = i % n_configs;
-        const GhostCacheSpec &spec = family.configs[c];
-
-        hier::HierarchyParams p = base;
-        if (p.levels.empty())
-            mlc_panic("crossCheck: base machine has no downstream "
-                      "level");
-        p.levels[0].geometry.sizeBytes = spec.sizeBytes;
-        p.levels[0].geometry.assoc = spec.assoc;
-        p.levels[0].geometry.blockBytes = spec.blockBytes;
-        // Keep fetch == block when the family varies block size so
-        // finalize() never sees a stale sub-block/fetch-group ratio.
-        p.levels[0].fetchBytes = spec.blockBytes;
-        p.measureSolo = solo;
-
-        const hier::SimResults r = expt::runOnTrace(
-            p, store.traces()[t],
-            expt::scaledWarmup(store.specs()[t]));
-
-        const TraceProfile &prof = profiles[t];
-        const ConfigProfile &cp = prof.configs[c];
-        CrossCheckRow row;
-        row.traceName = store.specs()[t].name;
-        row.spec = spec;
-        row.onepassReads = cp.filtered.reads;
-        row.onepassMisses = cp.filtered.readMisses;
-        row.timingReads = r.levels[1].readRequests;
-        row.timingMisses = r.levels[1].readMisses;
-        row.l1Match =
-            r.levels[0].readRequests == prof.l1ReadRequests &&
-            r.levels[0].readMisses == prof.l1ReadMisses;
-        if (solo) {
-            // Identical integer divisions on both sides, so the
-            // doubles compare bitwise-equal when the counts agree.
-            row.onepassSolo = cp.solo.localMissRatio();
-            row.timingSolo = r.levels[1].soloMissRatio;
-        }
-        report.rows[i] = row;
-    });
-    return report;
+    level.geometry.sizeBytes = spec.sizeBytes;
+    level.geometry.assoc = spec.assoc;
+    level.geometry.blockBytes = spec.blockBytes;
+    level.fetchBytes = spec.blockBytes;
 }
 
+/** crossCheck at either depth: every (trace, pivot, member) row,
+ *  the member at levels[0] or, behind a pivot, at levels[1]. */
 CrossCheckReport
-crossCheckCascade(const hier::HierarchyParams &base,
-                  const CascadeFamilySpec &family,
-                  const expt::TraceStore &store, std::size_t jobs,
-                  bool solo)
+crossCheckFamily(const hier::HierarchyParams &base,
+                 const CascadeFamilySpec &family,
+                 const expt::TraceStore &store, std::size_t jobs,
+                 bool solo)
 {
-    ProfileOptions opts;
-    opts.solo = solo;
-    const std::vector<std::vector<TraceProfile>> profiles =
-        profileCascadeSuite(base, family, store, jobs, opts);
+    const std::vector<TraceProfile> profiles = profileStore(
+        base, family, store, jobs, solo, false, ExactSinks{});
 
-    const std::size_t n_pivots = family.pivots.size();
+    const bool cascade = !family.pivots.empty();
+    const std::size_t level = cascade ? 2 : 1; // member's SimResults
+    const std::size_t n_pivots = cascade ? family.pivots.size() : 1;
     const std::size_t n_configs = family.l3.configs.size();
     const std::size_t n_rows =
         store.size() * n_pivots * n_configs;
@@ -133,56 +89,66 @@ crossCheckCascade(const hier::HierarchyParams &base,
         const std::size_t t = i / (n_pivots * n_configs);
         const std::size_t p = (i / n_configs) % n_pivots;
         const std::size_t c = i % n_configs;
-        const GhostCacheSpec &pivot = family.pivots[p];
         const GhostCacheSpec &spec = family.l3.configs[c];
 
         hier::HierarchyParams params = base;
-        if (params.levels.size() < 2)
-            mlc_panic("crossCheckCascade: base machine has fewer "
-                      "than two downstream levels");
-        params.levels[0].geometry.sizeBytes = pivot.sizeBytes;
-        params.levels[0].geometry.assoc = pivot.assoc;
-        params.levels[0].geometry.blockBytes = pivot.blockBytes;
-        params.levels[0].fetchBytes = pivot.blockBytes;
-        params.levels[1].geometry.sizeBytes = spec.sizeBytes;
-        params.levels[1].geometry.assoc = spec.assoc;
-        params.levels[1].geometry.blockBytes = spec.blockBytes;
-        params.levels[1].fetchBytes = spec.blockBytes;
+        if (cascade)
+            reshape(params.levels[0], family.pivots[p]);
+        reshape(params.levels[level - 1], spec);
         params.measureSolo = solo;
 
         const hier::SimResults r = expt::runOnTrace(
             params, store.traces()[t],
             expt::scaledWarmup(store.specs()[t]));
 
-        const TraceProfile &prof = profiles[p][t];
+        const TraceProfile &prof = profiles[p * store.size() + t];
         const ConfigProfile &cp = prof.configs[c];
-        const PivotLink &link = prof.pivotChain[0];
         CrossCheckRow row;
         row.traceName = store.specs()[t].name;
         row.spec = spec;
         row.onepassReads = cp.filtered.reads;
         row.onepassMisses = cp.filtered.readMisses;
-        row.timingReads = r.levels[2].readRequests;
-        row.timingMisses = r.levels[2].readMisses;
+        row.timingReads = r.levels[level].readRequests;
+        row.timingMisses = r.levels[level].readMisses;
         row.l1Match =
             r.levels[0].readRequests == prof.l1ReadRequests &&
             r.levels[0].readMisses == prof.l1ReadMisses;
-        row.pivotMatch =
-            r.levels[1].readRequests == link.counts.reads &&
-            r.levels[1].readMisses == link.counts.readMisses;
+        if (cascade) {
+            const PivotLink &link = prof.pivotChain[0];
+            row.pivotMatch =
+                r.levels[1].readRequests == link.counts.reads &&
+                r.levels[1].readMisses == link.counts.readMisses &&
+                (!solo || r.levels[1].soloMissRatio ==
+                              link.solo.localMissRatio());
+        }
         if (solo) {
             // Identical integer divisions on both sides, so the
             // doubles compare bitwise-equal when the counts agree.
             row.onepassSolo = cp.solo.localMissRatio();
-            row.timingSolo = r.levels[2].soloMissRatio;
-            row.pivotMatch =
-                row.pivotMatch &&
-                r.levels[1].soloMissRatio ==
-                    link.solo.localMissRatio();
+            row.timingSolo = r.levels[level].soloMissRatio;
         }
         report.rows[i] = row;
     });
     return report;
+}
+
+} // namespace
+
+CrossCheckReport
+crossCheck(const hier::HierarchyParams &base,
+           const FamilySpec &family, const expt::TraceStore &store,
+           std::size_t jobs, bool solo)
+{
+    return crossCheckFamily(base, {{}, family}, store, jobs, solo);
+}
+
+CrossCheckReport
+crossCheckCascade(const hier::HierarchyParams &base,
+                  const CascadeFamilySpec &family,
+                  const expt::TraceStore &store, std::size_t jobs,
+                  bool solo)
+{
+    return crossCheckFamily(base, family, store, jobs, solo);
 }
 
 } // namespace onepass

@@ -536,7 +536,7 @@ buildGridCheckpointed(const hier::HierarchyParams &base,
                       const expt::TraceStore &store,
                       const SampledOptions &opts, std::size_t jobs,
                       ckpt::CheckpointStore *ckpt_store,
-                      const std::string &farm_tag)
+                      const std::string &farm_tag, FarmTally *tally)
 {
     if (store.size() == 0)
         mlc_panic("buildGridCheckpointed: empty trace store");
@@ -563,6 +563,15 @@ buildGridCheckpointed(const hier::HierarchyParams &base,
         }
         const SweepResult sweep = runSweepCheckpointed(
             configs, store.span(t), opts, jobs, nullptr, policy);
+        if (ckpt_store && tally) {
+            if (sweep.fromCheckpointFile)
+                ++tally->loads;
+            if (sweep.builtCheckpointFile)
+                ++tally->builds;
+            if (!sweep.fromCheckpointFile &&
+                !sweep.checkpointFallback.empty())
+                ++tally->fallbacks;
+        }
         for (std::size_t c = 0; c < configs.size(); ++c)
             acc[c] += sweep.perConfig[c].estRelExecTime;
     }

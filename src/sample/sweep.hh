@@ -64,6 +64,16 @@ struct CheckpointPolicy
     bool buildIfMissing = true;
 };
 
+/** Checkpoint-farm traffic of a run of sweeps: per-trace sweeps
+ *  served from a farm, farm entries published, and farm misses
+ *  that re-warmed. */
+struct FarmTally
+{
+    std::uint64_t loads = 0;
+    std::uint64_t builds = 0;
+    std::uint64_t fallbacks = 0;
+};
+
 /** What runSweepCheckpointed() produces. */
 struct SweepResult
 {
@@ -217,7 +227,8 @@ PairedResult runPaired(const hier::HierarchyParams &a,
  * With @p ckpt_store non-null each trace's sweep goes through the
  * checkpoint farm (traceId = "<farm_tag>/<spec name>", or just the
  * spec name when the tag is empty): hits replay from disk, misses
- * warm once and tee the farm entry for next time.
+ * warm once and tee the farm entry for next time, and a non-null
+ * @p tally accumulates the farm traffic.
  */
 expt::DesignSpaceGrid buildGridCheckpointed(
     const hier::HierarchyParams &base,
@@ -226,7 +237,7 @@ expt::DesignSpaceGrid buildGridCheckpointed(
     const expt::TraceStore &store, const SampledOptions &opts,
     std::size_t jobs = 1,
     ckpt::CheckpointStore *ckpt_store = nullptr,
-    const std::string &farm_tag = {});
+    const std::string &farm_tag = {}, FarmTally *tally = nullptr);
 
 } // namespace sample
 } // namespace mlc

@@ -4,7 +4,7 @@
  * query, kept hot across requests.
  *
  * A one-pass query costs one profiling pass over every trace of a
- * workload (onepass::profileSuite) plus a closed-form grid
+ * workload (engines::profile) plus a closed-form grid
  * evaluation that is microseconds. The pass depends only on
  * (workload, L1 organization, candidate family) — the cycle-time
  * axis and the analytic pricing do not touch cache state — so one

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "engines/engines.hh"
 #include "util/logging.hh"
 
 namespace mlc {
@@ -111,11 +112,16 @@ parseRequest(const std::string &line)
             return reject("bad_request", "engine must be a string",
                           id);
         req.engine = v->asString();
-        if (req.engine != "onepass" && req.engine != "timing" &&
-            req.engine != "sampled")
+        engines::Engine engine = engines::Engine::Timing;
+        if (!engines::engineNamed(req.engine, engine))
             return reject("bad_request",
                           "unknown engine '" + req.engine + "'",
                           id);
+        // Serving mrc needs resident sampled profiles, a
+        // ProfileCache kind of their own.
+        if (engine == engines::Engine::Mrc)
+            return reject("bad_request",
+                          "engine 'mrc' is not served", id);
     }
     if (const Json *v = doc.find("workload")) {
         if (!v->isString() || v->asString().empty())

@@ -8,12 +8,8 @@
 #include <fstream>
 #include <limits>
 
+#include "engines/engines.hh"
 #include "expt/design_space.hh"
-#include "expt/runner.hh"
-#include "onepass/cascade.hh"
-#include "onepass/grid.hh"
-#include "onepass/model_timing.hh"
-#include "sample/sweep.hh"
 #include "serve/metrics.hh"
 #include "util/thread_pool.hh"
 #include "trace/binary.hh"
@@ -256,7 +252,7 @@ Server::baseFor(const Request &req)
     return p;
 }
 
-std::vector<double>
+expt::DesignSpaceGrid
 Server::evaluateCells(const Request &req,
                       const std::vector<std::uint64_t> &sizes,
                       const std::vector<std::uint32_t> &cycles,
@@ -272,186 +268,55 @@ Server::evaluateCells(const Request &req,
         ++counters_.engineRuns;
     }
     const hier::HierarchyParams base = baseFor(req);
-    const std::size_t cols = cycles.size();
-    std::vector<double> cells(sizes.size() * cols, 0.0);
-
-    if (req.engine == "timing") {
-        // expt::parallelBuildGrid's cell schedule, minus the
-        // DesignSpaceGrid (whose 2x2 floor exists for contour
-        // plots): each cell is an independent serial runSuite, the
-        // cell set is spread over the pool, slot-indexed writes
-        // keep any jobs count bit-identical.
-        const std::uint32_t assoc =
-            req.l2Assoc != 0 ? req.l2Assoc
-                             : base.levels[0].geometry.assoc;
-        parallelFor(jobs_, cells.size(), [&](std::size_t i) {
-            const hier::HierarchyParams machine = base.withL2(
-                sizes[i / cols], cycles[i % cols], assoc);
-            cells[i] =
-                expt::runSuite(machine, wl.store, 1).relExecTime;
-        });
-        return cells;
-    }
-    if (req.engine == "sampled") {
-        // sample::buildGridCheckpointed's accumulation, cell-shaped:
-        // one warming pass per window serves every config, traces
-        // run serially with a fixed reduction order.
-        sample::SampledOptions so = opts_.sampled;
-        so.seed = req.seed;
-        std::vector<hier::HierarchyParams> configs;
-        configs.reserve(cells.size());
-        for (const std::uint64_t s : sizes)
-            for (const std::uint32_t c : cycles)
-                configs.push_back(base.withL2(s, c));
-        for (std::size_t t = 0; t < wl.store.size(); ++t) {
-            // With a farm attached, the warming pass for this
-            // (workload, schedule, family) is loaded from disk when
-            // a matching live-point file exists and teed to one
-            // when it does not — the values are bit-identical
-            // either way (the persistence contract).
-            sample::CheckpointPolicy policy;
-            policy.store = ckptStore_.get();
-            policy.traceId =
-                wl.tag + "/" + wl.store.specs()[t].name;
-            const sample::SweepResult sweep =
-                sample::runSweepCheckpointed(configs,
-                                             wl.store.span(t), so,
-                                             jobs_, nullptr,
-                                             policy);
-            if (ckptStore_) {
-                std::lock_guard<std::mutex> clk(countersMu_);
-                if (sweep.fromCheckpointFile)
-                    ++counters_.ckptLoads;
-                if (sweep.builtCheckpointFile)
-                    ++counters_.ckptBuilds;
-                if (!sweep.fromCheckpointFile &&
-                    !sweep.checkpointFallback.empty())
-                    ++counters_.ckptFallbacks;
-            }
-            for (std::size_t i = 0; i < cells.size(); ++i)
-                cells[i] += sweep.perConfig[i].estRelExecTime;
-        }
-        const double n = static_cast<double>(wl.store.size());
-        for (double &v : cells)
-            v /= n;
-        return cells;
-    }
-
-    if (req.l3Size != 0) {
-        // Depth-3 one-pass: the cascade engine. The swept L2 sizes
-        // become the exactly-replayed pivots, the request's L3 the
-        // single ghost-swept member, and the resident entry is the
-        // pivot-major flattened profile matrix keyed by the joint
-        // family identity (CascadeFamilySpec::key() folds the
-        // pivot-family hash in, so unequal pivot sets never
-        // collide). No canonical-family widening here: every pivot
-        // costs an exact filtered replay, so the family is exactly
-        // what the batch asked for.
-        onepass::CascadeFamilySpec family;
-        for (const std::uint64_t s : sizes)
-            family.pivots.push_back(
-                {s, base.levels[0].geometry.assoc,
-                 base.levels[0].geometry.blockBytes});
-        family.l3.configs.push_back(
-            {req.l3Size, base.levels[1].geometry.assoc,
-             base.levels[1].geometry.blockBytes});
-        const std::string fam_key =
+    engines::EngineOptions eo;
+    engines::engineNamed(req.engine, eo.engine); // vetted by parseRequest
+    eo.jobs = jobs_;
+    eo.shards = opts_.shards;
+    eo.sampled = opts_.sampled;
+    eo.sampled.seed = req.seed;
+    // With a farm attached, sampled warming loads from (or tees to)
+    // disk, bit-identically either way (the persistence contract).
+    sample::FarmTally farm;
+    eo.farm = ckptStore_.get();
+    eo.farmTag = wl.tag;
+    eo.farmTally = &farm;
+    // One-pass profiles are the cost, so they stay resident, keyed
+    // by (workload, machine knobs, family). Two-level families
+    // inside the canonical paper-size universe widen to all of it,
+    // so every such request shares one resident profile; a cascade
+    // family is exactly what the batch asked for, since every pivot
+    // costs an exact filtered replay.
+    eo.profiles = [&](onepass::CascadeFamilySpec family) {
+        const std::vector<std::uint64_t> paper = expt::paperSizes();
+        bool canonical = family.pivots.empty();
+        for (const onepass::GhostCacheSpec &m : family.l3.configs)
+            canonical = canonical && std::count(paper.begin(), paper.end(),
+                                                m.sizeBytes) != 0;
+        if (canonical)
+            family.l3 = onepass::FamilySpec::l2Grid(base, paper);
+        const char *kind =
+            family.pivots.empty() ? "onepass" : "cascade";
+        const std::string key =
             wl.tag + "#" + req.batchKey() + "#" + family.key();
-
-        ProfileCache::Profiles profiles =
-            profiles_.get(fam_key, "cascade");
+        ProfileCache::Profiles profiles = profiles_.get(key, kind);
         if (!profiles) {
-            onepass::ProfileOptions popts;
-            popts.shards = opts_.shards;
-            auto nested = onepass::profileCascadeSuite(
-                base, family, wl.store, jobs_, popts);
-            std::vector<onepass::TraceProfile> flat;
-            flat.reserve(nested.size() * wl.store.size());
-            for (auto &per_pivot : nested)
-                for (auto &prof : per_pivot)
-                    flat.push_back(std::move(prof));
             profiles = std::make_shared<
                 const std::vector<onepass::TraceProfile>>(
-                std::move(flat));
-            profiles_.put(fam_key, profiles, "cascade");
+                engines::profile(eo, base, family, wl.store));
+            profiles_.put(key, profiles, kind);
         }
-
-        const std::size_t traces = wl.store.size();
-        for (std::size_t c = 0; c < cols; ++c) {
-            const onepass::EqTimingModel model =
-                onepass::EqTimingModel::forMachine(base.withL2(
-                    sizes[0], cycles[c],
-                    base.levels[0].geometry.assoc));
-            for (std::size_t s = 0; s < sizes.size(); ++s) {
-                double sum = 0.0;
-                for (std::size_t t = 0; t < traces; ++t)
-                    sum += model.relExec(
-                        (*profiles)[s * traces + t], 0);
-                cells[s * cols + c] =
-                    sum / static_cast<double>(traces);
-            }
-        }
-        return cells;
+        return engines::FamilyProfiles{std::move(family),
+                                       std::move(profiles)};
+    };
+    expt::DesignSpaceGrid grid =
+        engines::buildGrid(eo, base, sizes, cycles, wl.store);
+    if (ckptStore_) {
+        std::lock_guard<std::mutex> clk(countersMu_);
+        counters_.ckptLoads += farm.loads;
+        counters_.ckptBuilds += farm.builds;
+        counters_.ckptFallbacks += farm.fallbacks;
     }
-
-    // one-pass: the profile pass is the cost, so it is keyed and
-    // cached at family granularity. Requests inside the canonical
-    // paper-size universe all share one resident profile per
-    // (workload, machine knobs); exotic families get their own
-    // entry.
-    const std::vector<std::uint64_t> paper = expt::paperSizes();
-    const bool canonical = std::all_of(
-        sizes.begin(), sizes.end(), [&paper](std::uint64_t s) {
-            return std::find(paper.begin(), paper.end(), s) !=
-                   paper.end();
-        });
-    const std::vector<std::uint64_t> &fam_sizes =
-        canonical ? paper : sizes;
-    const onepass::FamilySpec family =
-        onepass::FamilySpec::l2Grid(base, fam_sizes);
-    const std::string fam_key =
-        wl.tag + "#" + req.batchKey() + "#" + family.key();
-
-    ProfileCache::Profiles profiles = profiles_.get(fam_key);
-    if (!profiles) {
-        onepass::ProfileOptions popts;
-        popts.shards = opts_.shards;
-        profiles = std::make_shared<
-            const std::vector<onepass::TraceProfile>>(
-            onepass::profileSuite(base, family, wl.store, jobs_,
-                                  popts));
-        profiles_.put(fam_key, profiles);
-    }
-
-    // Price the requested cells straight off the resident family
-    // (onepass::gridFromProfiles' math, member-indexed): the model
-    // depends on the cycle axis only, each size is a member lookup,
-    // and every cell's value is independent of the others.
-    std::vector<std::size_t> member;
-    member.reserve(sizes.size());
-    for (const std::uint64_t s : sizes) {
-        const auto it =
-            std::find(fam_sizes.begin(), fam_sizes.end(), s);
-        if (it == fam_sizes.end())
-            mlc_panic("serve: size missing from profile family");
-        member.push_back(static_cast<std::size_t>(
-            it - fam_sizes.begin()));
-    }
-    const std::uint32_t assoc =
-        base.levels.empty() ? 1 : base.levels[0].geometry.assoc;
-    for (std::size_t c = 0; c < cols; ++c) {
-        const onepass::EqTimingModel model =
-            onepass::EqTimingModel::forMachine(
-                base.withL2(fam_sizes[0], cycles[c], assoc));
-        for (std::size_t s = 0; s < sizes.size(); ++s) {
-            double sum = 0.0;
-            for (const onepass::TraceProfile &p : *profiles)
-                sum += model.relExec(p, member[s]);
-            cells[s * cols + c] =
-                sum / static_cast<double>(profiles->size());
-        }
-    }
-    return cells;
+    return grid;
 }
 
 std::string
@@ -624,7 +489,7 @@ Server::handleBatch(const std::vector<std::string> &lines)
                 continue;
             }
             const auto t0 = std::chrono::steady_clock::now();
-            const std::vector<double> cells = evaluateCells(
+            const expt::DesignSpaceGrid grid = evaluateCells(
                 req, req.sizes, req.cycles,
                 *findWorkload(req.workload));
             std::string payload = "\"sizes\":[";
@@ -641,9 +506,7 @@ Server::handleBatch(const std::vector<std::string> &lines)
                 for (std::size_t c = 0; c < req.cycles.size();
                      ++c)
                     payload += (c ? "," : "") +
-                               jsonNumber(
-                                   cells[s * req.cycles.size() +
-                                         c]);
+                               jsonNumber(grid.at(s, c));
                 payload += "]";
             }
             payload += "]";
@@ -682,11 +545,11 @@ Server::handleBatch(const std::vector<std::string> &lines)
                 continue;
             }
             const auto t0 = std::chrono::steady_clock::now();
-            const std::vector<double> cells = evaluateCells(
+            const expt::DesignSpaceGrid grid = evaluateCells(
                 req, {req.l2Size}, {req.l2Cycles},
                 *findWorkload(req.workload));
             auto shared = std::make_shared<const std::string>(
-                "\"rel_exec_time\":" + jsonNumber(cells[0]));
+                "\"rel_exec_time\":" + jsonNumber(grid.at(0, 0)));
             memo_.put(key, shared);
             responses[i] =
                 okResponse(req.id, *shared, false, elapsedUs(t0));
@@ -713,7 +576,7 @@ Server::handleBatch(const std::vector<std::string> &lines)
             ucycles.end());
 
         const auto t0 = std::chrono::steady_clock::now();
-        const std::vector<double> cells = evaluateCells(
+        const expt::DesignSpaceGrid grid = evaluateCells(
             parsed[group.members[0]].request, usizes, ucycles,
             *findWorkload(group.workload));
         const std::uint64_t us = elapsedUs(t0);
@@ -733,8 +596,7 @@ Server::handleBatch(const std::vector<std::string> &lines)
                           req.l2Cycles) -
                 ucycles.begin());
             auto shared = std::make_shared<const std::string>(
-                "\"rel_exec_time\":" +
-                jsonNumber(cells[si * ucycles.size() + ci]));
+                "\"rel_exec_time\":" + jsonNumber(grid.at(si, ci)));
             memo_.put(memoKeyFor(req), shared);
             responses[i] = okResponse(req.id, *shared, false, us);
         }

@@ -209,13 +209,13 @@ class Server
 
     /** Price every (size x cycle) cell for one workload with the
      *  requested engine — the single choke point every verb's
-     *  evaluation funnels through (one engine call per group).
-     *  Returns rel-exec-time values in row-major (size-major)
-     *  order. Cell values are independent of which other cells
-     *  share the call, which is what makes batching and the sweep
-     *  verb bit-identical to one-at-a-time queries. Holds
-     *  engineMu_ for the duration. */
-    std::vector<double>
+     *  evaluation funnels through (one engines::buildGrid call per
+     *  group, one-pass profiles served from the ProfileCache). Cell
+     *  values are independent of which other cells share the call,
+     *  which is what makes batching and the sweep verb
+     *  bit-identical to one-at-a-time queries. Holds engineMu_ for
+     *  the duration. */
+    expt::DesignSpaceGrid
     evaluateCells(const Request &req,
                   const std::vector<std::uint64_t> &sizes,
                   const std::vector<std::uint32_t> &cycles,

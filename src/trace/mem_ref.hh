@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace mlc {
 
@@ -76,6 +77,11 @@ struct RefSpan
 
     RefSpan() = default;
     RefSpan(const MemRef *d, std::size_t n) : data(d), size(n) {}
+    /** A whole materialized trace. */
+    RefSpan(const std::vector<MemRef> &refs)
+        : data(refs.data()), size(refs.size())
+    {
+    }
 
     const MemRef *begin() const { return data; }
     const MemRef *end() const { return data + size; }

@@ -57,9 +57,61 @@ TEST(DesignSpace, AtReturnsWhatWasSet)
 
 TEST(DesignSpace, RejectsDegenerateAxes)
 {
-    EXPECT_DEATH(DesignSpaceGrid({4096}, {1, 2}), "2x2");
+    EXPECT_DEATH(DesignSpaceGrid({}, {1, 2}), "at least one");
+    EXPECT_DEATH(DesignSpaceGrid({4096}, {}), "at least one");
     EXPECT_DEATH(DesignSpaceGrid({8192, 4096}, {1, 2}),
                  "ascending");
+}
+
+TEST(DesignSpace, OneByOneGridHoldsOneCell)
+{
+    DesignSpaceGrid g({4096}, {3});
+    g.set(0, 0, 1.5);
+    EXPECT_EQ(g.at(0, 0), 1.5);
+    EXPECT_EQ(g.minValue(), 1.5);
+    EXPECT_EQ(g.maxValue(), 1.5);
+    // No interval to cross and no axis to interpolate along.
+    EXPECT_TRUE(g.contourLevels().empty());
+    ASSERT_EQ(g.contour(1.5).size(), 1u);
+    EXPECT_EQ(g.contour(1.5)[0], 3.0);
+    EXPECT_TRUE(std::isnan(g.contour(1.7)[0]));
+    EXPECT_TRUE(g.contourSlopes(1.5).empty());
+    EXPECT_TRUE(g.maxSlopePerInterval().empty());
+    EXPECT_TRUE(std::isnan(g.slopeBoundaryCrossing(1.5)));
+}
+
+TEST(DesignSpace, OneSizeRowInterpolatesAlongCycles)
+{
+    // 1xN: the contour still interpolates along the cycle axis,
+    // but there is no size interval for a slope.
+    const DesignSpaceGrid g = buildGrid(
+        {65536}, paperCycles(),
+        [](std::uint64_t, std::uint32_t t) { return 1.0 + 0.1 * t; });
+    const auto line = g.contour(1.25);
+    ASSERT_EQ(line.size(), 1u);
+    EXPECT_NEAR(line[0], 2.5, 1e-12);
+    EXPECT_TRUE(g.contourSlopes(1.25).empty());
+    EXPECT_TRUE(g.maxSlopePerInterval().empty());
+}
+
+TEST(DesignSpace, OneCycleColumnHasNoContourToFollow)
+{
+    // Nx1: each size has a single cycle time, so a level is met
+    // only exactly at it, and no contour level on the 0.1 grid
+    // crosses two sizes to give a slope.
+    const DesignSpaceGrid g = buildGrid(
+        sizes(), {2}, [](std::uint64_t s, std::uint32_t) {
+            return s == 4096 ? 1.55 : 1.25;
+        });
+    const auto line = g.contour(1.55);
+    ASSERT_EQ(line.size(), sizes().size());
+    EXPECT_EQ(line[0], 2.0);
+    for (std::size_t s = 1; s < line.size(); ++s)
+        EXPECT_TRUE(std::isnan(line[s])) << s;
+    const auto slopes = g.maxSlopePerInterval();
+    ASSERT_EQ(slopes.size(), sizes().size() - 1);
+    for (const double v : slopes)
+        EXPECT_TRUE(std::isnan(v));
 }
 
 TEST(DesignSpace, ContourInterpolatesExactly)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engines/engines.hh"
 #include "expt/workload_suite.hh"
 #include "mrc/engine.hh"
 #include "onepass/cascade.hh"
@@ -57,6 +58,21 @@ jointFamily()
     return family;
 }
 
+/** Profiles of the joint family over @p store, pivot-major (entry
+ *  i is pivot i / traces, trace i % traces). */
+std::vector<onepass::TraceProfile>
+suiteProfiles(engines::Engine engine, const SamplerConfig &sampler,
+              const expt::TraceStore &store, std::size_t jobs,
+              bool solo, bool fa_bound)
+{
+    engines::EngineOptions opts;
+    opts.engine = engine;
+    opts.jobs = jobs;
+    opts.sampler = sampler;
+    return engines::profile(opts, threeLevelBase(), jointFamily(),
+                            store, solo, fa_bound);
+}
+
 void
 expectSameProfiles(const onepass::TraceProfile &a,
                    const onepass::TraceProfile &b)
@@ -97,89 +113,64 @@ expectSameProfiles(const onepass::TraceProfile &a,
 TEST(MrcCascade, UnitRateBitIdenticalToExactCascade)
 {
     const expt::TraceStore store = smallStore();
-    const hier::HierarchyParams base = threeLevelBase();
-    const onepass::CascadeFamilySpec family = jointFamily();
-
-    onepass::ProfileOptions exact_opts;
-    exact_opts.solo = true;
-    exact_opts.faBound = true;
-    const auto exact = onepass::profileCascadeSuite(
-        base, family, store, 2, exact_opts);
+    const auto exact = suiteProfiles(engines::Engine::OnePass, {},
+                                     store, 2, true, true);
 
     // Any salt seed: naturals keep every set regardless.
     for (const std::uint64_t seed :
          {std::uint64_t{0}, std::uint64_t{7777}}) {
         SCOPED_TRACE(seed);
-        MrcOptions opts;
-        opts.sampler.rate = 1.0;
-        opts.sampler.saltSeed = seed;
-        opts.solo = true;
-        opts.faBound = true;
-        const auto sampled =
-            profileCascadeSuite(base, family, store, 2, opts);
+        SamplerConfig sampler;
+        sampler.rate = 1.0;
+        sampler.saltSeed = seed;
+        const auto sampled = suiteProfiles(
+            engines::Engine::Mrc, sampler, store, 2, true, true);
         ASSERT_EQ(sampled.size(), exact.size());
-        for (std::size_t p = 0; p < exact.size(); ++p) {
-            ASSERT_EQ(sampled[p].size(), exact[p].size());
-            for (std::size_t t = 0; t < exact[p].size(); ++t)
-                expectSameProfiles(sampled[p][t], exact[p][t]);
-        }
+        for (std::size_t i = 0; i < exact.size(); ++i)
+            expectSameProfiles(sampled[i], exact[i]);
     }
 }
 
 TEST(MrcCascade, SampledMemberRatiosStayClose)
 {
     const expt::TraceStore store = smallStore();
-    const hier::HierarchyParams base = threeLevelBase();
-    const onepass::CascadeFamilySpec family = jointFamily();
+    const auto exact = suiteProfiles(engines::Engine::OnePass, {},
+                                     store, 1, false, false);
 
-    onepass::ProfileOptions exact_opts;
-    const auto exact = onepass::profileCascadeSuite(
-        base, family, store, 1, exact_opts);
-
-    MrcOptions opts;
-    opts.sampler.rate = 0.25;
-    opts.sampler.minSets = 64;
-    const auto sampled =
-        profileCascadeSuite(base, family, store, 1, opts);
-    for (std::size_t p = 0; p < exact.size(); ++p)
-        for (std::size_t t = 0; t < exact[p].size(); ++t) {
-            // Pivot counts are exact by construction, never
-            // estimates.
-            EXPECT_EQ(
-                sampled[p][t].pivotChain[0].counts.readMisses,
-                exact[p][t].pivotChain[0].counts.readMisses);
-            for (std::size_t m = 0;
-                 m < exact[p][t].configs.size(); ++m) {
-                const double got = sampled[p][t]
-                                       .configs[m]
-                                       .filtered.localMissRatio();
-                const double want =
-                    exact[p][t].configs[m].filtered.localMissRatio();
-                EXPECT_NEAR(got, want, 0.15)
-                    << "pivot " << p << " trace " << t
-                    << " member " << m;
-            }
+    SamplerConfig sampler;
+    sampler.rate = 0.25;
+    sampler.minSets = 64;
+    const auto sampled = suiteProfiles(engines::Engine::Mrc, sampler,
+                                       store, 1, false, false);
+    for (std::size_t i = 0; i < exact.size(); ++i) {
+        // Pivot counts are exact by construction, never estimates.
+        EXPECT_EQ(sampled[i].pivotChain[0].counts.readMisses,
+                  exact[i].pivotChain[0].counts.readMisses);
+        for (std::size_t m = 0; m < exact[i].configs.size(); ++m) {
+            const double got =
+                sampled[i].configs[m].filtered.localMissRatio();
+            const double want =
+                exact[i].configs[m].filtered.localMissRatio();
+            EXPECT_NEAR(got, want, 0.15)
+                << "pivot " << i / store.size() << " trace "
+                << i % store.size() << " member " << m;
         }
+    }
 }
 
 TEST(MrcCascade, DeterministicAcrossJobsAndRepeatRuns)
 {
     const expt::TraceStore store = smallStore();
-    const hier::HierarchyParams base = threeLevelBase();
-    const onepass::CascadeFamilySpec family = jointFamily();
-
-    MrcOptions opts;
-    opts.sampler.rate = 0.25;
-    opts.sampler.minSets = 64;
-    opts.solo = true;
-    const auto one = profileCascadeSuite(base, family, store, 1,
-                                         opts);
-    const auto four = profileCascadeSuite(base, family, store, 4,
-                                          opts);
+    SamplerConfig sampler;
+    sampler.rate = 0.25;
+    sampler.minSets = 64;
+    const auto one = suiteProfiles(engines::Engine::Mrc, sampler,
+                                   store, 1, true, false);
+    const auto four = suiteProfiles(engines::Engine::Mrc, sampler,
+                                    store, 4, true, false);
     ASSERT_EQ(one.size(), four.size());
-    for (std::size_t p = 0; p < one.size(); ++p)
-        for (std::size_t t = 0; t < one[p].size(); ++t)
-            expectSameProfiles(one[p][t], four[p][t]);
+    for (std::size_t i = 0; i < one.size(); ++i)
+        expectSameProfiles(one[i], four[i]);
 }
 
 TEST(MrcCascade, SaltSeedRedrawsKeptSetsDeterministically)

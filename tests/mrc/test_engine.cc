@@ -1,6 +1,7 @@
 /** @file End-to-end contracts of the streaming sampled-MRC engine:
- *  at rate 1.0 the full pipeline (profileTrace, profileSuite,
- *  buildGrid) is bit-identical to the exact one-pass engine, and
+ *  at rate 1.0 the full pipeline (profileTrace, the store profile
+ *  and grid of engines::profile/buildGrid) is bit-identical to the
+ *  exact one-pass engine, and
  *  profiling is chunking-invariant: profileMapped at any
  *  streamChunkRefs, and the pipeline under it with the exact sink
  *  or a cascade stage at any chunk size, give the in-memory
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engines/engines.hh"
 #include "expt/workload_suite.hh"
 #include "mrc/engine.hh"
 #include "onepass/cascade.hh"
@@ -80,10 +82,12 @@ TEST(MrcEngine, UnitRateGridMatchesOnepassBitForBit)
 
     const expt::DesignSpaceGrid exact =
         onepass::buildGrid(base, sizes, cycles, store, 2);
-    SamplerConfig unit;
-    unit.rate = 1.0;
+    engines::EngineOptions unit;
+    unit.engine = engines::Engine::Mrc;
+    unit.jobs = 2;
+    unit.sampler.rate = 1.0;
     const expt::DesignSpaceGrid sampled =
-        mrc::buildGrid(base, sizes, cycles, store, 2, unit);
+        engines::buildGrid(unit, base, sizes, cycles, store);
     for (std::size_t s = 0; s < sizes.size(); ++s)
         for (std::size_t c = 0; c < cycles.size(); ++c)
             EXPECT_EQ(sampled.at(s, c), exact.at(s, c))
@@ -102,11 +106,12 @@ TEST(MrcEngine, SampledGridStaysCloseToExact)
 
     const expt::DesignSpaceGrid exact =
         onepass::buildGrid(base, sizes, cycles, store, 1);
-    SamplerConfig cfg;
-    cfg.rate = 0.1;
-    cfg.minSets = 64;
+    engines::EngineOptions cfg;
+    cfg.engine = engines::Engine::Mrc;
+    cfg.sampler.rate = 0.1;
+    cfg.sampler.minSets = 64;
     const expt::DesignSpaceGrid sampled =
-        mrc::buildGrid(base, sizes, cycles, store, 1, cfg);
+        engines::buildGrid(cfg, base, sizes, cycles, store);
     for (std::size_t s = 0; s < sizes.size(); ++s)
         for (std::size_t c = 0; c < cycles.size(); ++c)
             EXPECT_NEAR(sampled.at(s, c), exact.at(s, c), 0.15)
@@ -120,14 +125,15 @@ TEST(MrcEngine, ProfileSuiteDeterministicAcrossJobs)
     const onepass::FamilySpec family = onepass::FamilySpec::l2Grid(
         base, {32 << 10, 128 << 10});
     const expt::TraceStore store = smallStore();
-    MrcOptions opts;
+    engines::EngineOptions opts;
+    opts.engine = engines::Engine::Mrc;
     opts.sampler.rate = 0.1;
     opts.sampler.minSets = 64;
-    opts.solo = true;
-    const auto one = mrc::profileSuite(base, family, store, 1,
-                                       opts);
-    const auto four = mrc::profileSuite(base, family, store, 4,
-                                        opts);
+    const auto one =
+        engines::profile(opts, base, {{}, family}, store, true);
+    opts.jobs = 4;
+    const auto four =
+        engines::profile(opts, base, {{}, family}, store, true);
     ASSERT_EQ(one.size(), four.size());
     for (std::size_t t = 0; t < one.size(); ++t) {
         ASSERT_EQ(one[t].configs.size(), four[t].configs.size());

@@ -13,6 +13,7 @@
 #include "model/exec_time.hh"
 #include "onepass/cascade.hh"
 #include "onepass/model_timing.hh"
+#include "onepass/pipeline.hh"
 #include "onepass/validate.hh"
 #include "trace/interleave.hh"
 #include "trace/mem_ref.hh"
@@ -204,22 +205,19 @@ TEST(CascadeEngine, SuiteBitIdenticalAcrossJobCounts)
     const hier::HierarchyParams base = threeLevelBase();
     const CascadeFamilySpec family = jointFamily(
         base, {32 << 10, 64 << 10}, {512 << 10, 2 << 20});
-    ProfileOptions opts;
-    opts.solo = true;
 
+    // Pivot-major: entry i is pivot i / traces, trace i % traces.
     const auto serial =
-        profileCascadeSuite(base, family, store, 1, opts);
+        profileStore(base, family, store, 1, true, false, ExactSinks{});
     const auto parallel =
-        profileCascadeSuite(base, family, store, 5, opts);
+        profileStore(base, family, store, 5, true, false, ExactSinks{});
     ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t p = 0; p < serial.size(); ++p) {
-        ASSERT_EQ(serial[p].size(), parallel[p].size());
-        for (std::size_t t = 0; t < serial[p].size(); ++t) {
-            EXPECT_EQ(serial[p][t].traceName,
-                      parallel[p][t].traceName);
-            EXPECT_TRUE(sameProfile(serial[p][t], parallel[p][t]))
-                << "pivot " << p << " trace " << t;
-        }
+    ASSERT_EQ(serial.size(), family.pivots.size() * store.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(serial[i].traceName, parallel[i].traceName);
+        EXPECT_TRUE(sameProfile(serial[i], parallel[i]))
+            << "pivot " << i / store.size() << " trace "
+            << i % store.size();
     }
 }
 
@@ -321,12 +319,14 @@ TEST(CascadeEngine, RandomizedFamiliesCrossCheck)
 
         // The sharded profile agrees with the suite-path profile.
         const auto suite_profiles =
-            profileCascadeSuite(base, family, store, 1, opts);
+            profileStore(base, family, store, 1, opts.solo,
+                         opts.faBound, ExactSinks{opts.shards});
         for (std::size_t p = 0; p < profiles.size(); ++p) {
+            const TraceProfile &from_store =
+                suite_profiles[p * store.size()];
             TraceProfile named = profiles[p];
-            named.traceName = suite_profiles[p][0].traceName;
-            EXPECT_TRUE(
-                sameProfile(named, suite_profiles[p][0]))
+            named.traceName = from_store.traceName;
+            EXPECT_TRUE(sameProfile(named, from_store))
                 << "iter " << iter << " pivot " << p;
         }
     }

@@ -12,6 +12,7 @@
 #include "onepass/engine.hh"
 #include "onepass/grid.hh"
 #include "onepass/model_timing.hh"
+#include "onepass/pipeline.hh"
 #include "onepass/validate.hh"
 #include "trace/stack_distance.hh"
 
@@ -75,16 +76,15 @@ TEST(OnePassEngine, ProfileSuiteIdenticalAcrossJobCounts)
         expt::TraceStore::materialize(tinySuite());
     const hier::HierarchyParams base =
         hier::HierarchyParams::baseMachine();
-    // Mixed block sizes split the family into per-group parallel
-    // tasks, exercising the deterministic merge.
+    // Mixed block sizes: one L1 replay feeds both block groups of
+    // each trace, and the traces spread over the jobs.
     const FamilySpec family = FamilySpec::crossProduct(
         {32 << 10, 128 << 10}, {1, 2}, {32, 64});
-    ProfileOptions opts;
-    opts.solo = true;
-    opts.faBound = true;
 
-    const auto serial = profileSuite(base, family, store, 1, opts);
-    const auto parallel = profileSuite(base, family, store, 5, opts);
+    const auto serial = profileStore(base, {{}, family}, store, 1,
+                                     true, true, ExactSinks{});
+    const auto parallel = profileStore(base, {{}, family}, store, 5,
+                                       true, true, ExactSinks{});
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t t = 0; t < serial.size(); ++t) {
         const TraceProfile &a = serial[t];
@@ -171,9 +171,8 @@ TEST(OnePassEngine, FaBoundMatchesBruteForceCompulsoryCount)
         hier::HierarchyParams::baseMachine();
     const FamilySpec family =
         FamilySpec::l2Grid(base, {64 << 10});
-    ProfileOptions opts;
-    opts.faBound = true;
-    const auto profiles = profileSuite(base, family, store, 1, opts);
+    const auto profiles = profileStore(base, {{}, family}, store, 1,
+                                       false, true, ExactSinks{});
     ASSERT_EQ(profiles.size(), 1u);
     const ConfigProfile &cfg = profiles[0].configs[0];
 

@@ -35,6 +35,20 @@ TEST(Protocol, QueryDefaultsAndKnobs)
     EXPECT_EQ(q.request.id, "abc");
 }
 
+TEST(Protocol, MrcEngineIsNotServed)
+{
+    // mrc is a real engine name, but the server keeps no resident
+    // sampled profiles to serve it from.
+    const ParsedRequest p = parseRequest(
+        "{\"op\":\"query\",\"engine\":\"mrc\",\"id\":\"m\","
+        "\"l2_size\":4096,\"l2_cycles\":1}");
+    EXPECT_FALSE(p.ok);
+    EXPECT_EQ(p.errorCode, "bad_request");
+    EXPECT_EQ(p.request.id, "m");
+    EXPECT_NE(p.errorMessage.find("mrc"), std::string::npos)
+        << p.errorMessage;
+}
+
 TEST(Protocol, NumericIdsBecomeStrings)
 {
     const ParsedRequest p = parseRequest("{\"op\":\"ping\",\"id\":7}");
