@@ -15,6 +15,8 @@
 #endif
 
 #include "util/csv.hh"
+#include "util/logging.hh"
+#include "util/str.hh"
 #include "util/table.hh"
 #include "util/units.hh"
 
@@ -114,6 +116,17 @@ gateStatus(double floor, std::size_t threads_needed)
     else if (hw < threads_needed)
         state = GateStatus::SkippedHwThreads;
     return {state, hw, threads_needed};
+}
+
+double
+gateFloor(const std::string &arg)
+{
+    const std::size_t eq = arg.find('=');
+    const std::string value = arg.substr(eq + 1);
+    double floor = 0.0;
+    if (!parseDouble(value, floor) || !std::isfinite(floor))
+        mlc_fatal("bad ", arg.substr(0, eq), " value '", value, "'");
+    return floor;
 }
 
 const char *

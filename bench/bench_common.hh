@@ -91,6 +91,11 @@ struct GateStatus
  *  @p threads_needed hardware threads. */
 GateStatus gateStatus(double floor, std::size_t threads_needed);
 
+/** The floor a "--flag=X" gate argument @p arg sets (0 disables
+ *  the gate). Fatal ("bad --flag value") unless X is a finite
+ *  number: a typo must not silently disable a gate. */
+double gateFloor(const std::string &arg);
+
 /** Print the grid the way Figure 4-1 plots it: one column per L2
  *  cycle time, one row per L2 size. */
 void printRelExecGrid(const expt::DesignSpaceGrid &grid);

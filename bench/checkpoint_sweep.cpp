@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "engines/engines.hh"
 #include "hier/hierarchy.hh"
 #include "sample/engine.hh"
 #include "sample/sweep.hh"
@@ -116,19 +117,17 @@ int
 main(int argc, char **argv)
 {
     std::uint64_t refs = 200'000'000;
-    std::size_t jobs = 1;
     double min_speedup = 3.0;
     bool adaptive = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
+    std::vector<std::string> args;
+    const std::size_t jobs = engines::parseArgs(argc, argv, &args).jobs;
+    for (const std::string &arg : args) {
         if (!arg.empty() && arg[0] >= '0' && arg[0] <= '9')
             refs = std::strtoull(arg.c_str(), nullptr, 0);
         else if (arg.rfind("--refs=", 0) == 0)
             refs = std::strtoull(arg.c_str() + 7, nullptr, 0);
-        else if (arg.rfind("--jobs=", 0) == 0)
-            jobs = std::strtoul(arg.c_str() + 7, nullptr, 0);
         else if (arg.rfind("--min-speedup=", 0) == 0)
-            min_speedup = std::strtod(arg.c_str() + 14, nullptr);
+            min_speedup = bench::gateFloor(arg);
         else if (arg == "--adaptive-warm")
             adaptive = true;
         else

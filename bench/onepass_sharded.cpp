@@ -166,7 +166,7 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg.rfind("--min-speedup=", 0) == 0)
-            min_speedup = std::strtod(arg.c_str() + 14, nullptr);
+            min_speedup = bench::gateFloor(arg);
         else if (arg.rfind("--golden-refs=", 0) == 0)
             golden_refs =
                 std::strtoull(arg.c_str() + 14, nullptr, 0);

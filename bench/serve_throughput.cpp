@@ -148,7 +148,7 @@ main(int argc, char **argv)
         else if (arg.rfind("--seed=", 0) == 0)
             seed = std::strtoull(arg.c_str() + 7, nullptr, 0);
         else if (arg.rfind("--min-ratio=", 0) == 0)
-            min_ratio = std::strtod(arg.c_str() + 12, nullptr);
+            min_ratio = bench::gateFloor(arg);
     }
     const std::size_t jobs = engines::parseArgs(argc, argv).jobs;
 

@@ -73,7 +73,6 @@
 #include "trace/binary.hh"
 #include "trace/compressed.hh"
 #include "trace/dinero.hh"
-#include "trace/filter.hh"
 #include "trace/interleave.hh"
 #include "trace/stack_distance.hh"
 #include "trace/synthetic_source.hh"

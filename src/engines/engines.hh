@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "expt/design_space.hh"
-#include "mrc/sampler.hh"
+#include "mrc/sampled_ghost.hh"
 #include "onepass/cascade.hh"
 #include "sample/sweep.hh"
 #include "trace/binary.hh"

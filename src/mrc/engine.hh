@@ -7,11 +7,11 @@
  * Two things change relative to onepass::profileTrace, and nothing
  * else does:
  *
- *  1. The sinks are SampledSinks: the ghost forests and FA
- *     analyzers are the sampled miniatures (SampledGhostForest,
- *     SampledStackDistance), so cache state is O(p * footprint) —
- *     or O(budget) in adaptive mode — instead of O(family size *
- *     footprint).
+ *  1. The sinks are SampledSinks: the ghost forests are the sampled
+ *     miniatures (SampledGhostForest) and the FA analyzers sample
+ *     at the same rate (trace::StackDistanceAnalyzer's SHARDS
+ *     mode), so cache state is O(p * footprint) — or O(budget) in
+ *     adaptive mode — instead of O(family size * footprint).
  *  2. profileMapped() feeds the pipeline straight off an mmap'd
  *     binary trace in streamChunkRefs-sized chunks, validating each
  *     chunk before replay and releasing its pages (MADV_DONTNEED)
@@ -29,7 +29,6 @@
 #ifndef MLC_MRC_ENGINE_HH
 #define MLC_MRC_ENGINE_HH
 
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -37,10 +36,10 @@
 #include "expt/workload_suite.hh"
 #include "hier/hierarchy_config.hh"
 #include "mrc/sampled_ghost.hh"
-#include "mrc/sampled_stack.hh"
 #include "onepass/cascade.hh"
 #include "onepass/engine.hh"
 #include "trace/binary.hh"
+#include "trace/stack_distance.hh"
 
 namespace mlc {
 namespace mrc {
@@ -61,12 +60,13 @@ struct MrcOptions
 };
 
 /** The sampled engine's sinks for onepass::Pipeline (pipeline.hh):
- *  SampledGhostForest and SampledStackDistance at one sampler
- *  setting; streaming callers feed such a pipeline chunk by chunk. */
+ *  SampledGhostForest and the FA analyzer (the exact engine's type),
+ *  both at one sampler setting; streaming callers feed such a
+ *  pipeline chunk by chunk. */
 struct SampledSinks
 {
     using Forest = SampledGhostForest;
-    using Fa = SampledStackDistance;
+    using Fa = trace::StackDistanceAnalyzer;
     /** Sampled forests estimate, so they cannot vouch for a pivot's
      *  exact replay. */
     static constexpr bool kCheckPivots = false;
@@ -79,11 +79,10 @@ struct SampledSinks
     {
         return Forest(specs, policies, sampler);
     }
-    Fa fa(std::uint32_t block_bytes) const { return {block_bytes, sampler}; }
-    static std::uint64_t
-    compulsory(const Fa &a)
+    Fa
+    fa(std::uint32_t block_bytes) const
     {
-        return static_cast<std::uint64_t>(std::llround(a.infiniteWeight()));
+        return Fa(block_bytes, sampler.rate, sampler.budget);
     }
 };
 

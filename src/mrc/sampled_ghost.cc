@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "trace/sampler.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
 
@@ -88,12 +89,11 @@ SampledGhostForest::makeMember(const onepass::GhostCacheSpec &spec,
              // caller's saltSeed (scattered first so small seeds
              // flip high hash-input bits too); seed 0 reproduces
              // the canonical subsets bit for bit.
-             hashBlock(spec.sizeBytes ^
-                       (static_cast<std::uint64_t>(spec.assoc)
-                        << 40) ^
-                       (static_cast<std::uint64_t>(spec.blockBytes)
-                        << 20) ^
-                       (sampler.saltSeed * kSetScatter)),
+             trace::hashBlock(
+                 spec.sizeBytes ^
+                 (static_cast<std::uint64_t>(spec.assoc) << 40) ^
+                 (static_cast<std::uint64_t>(spec.blockBytes) << 20) ^
+                 (sampler.saltSeed * kSetScatter)),
              onepass::GhostTagArray(full_sets >> j, spec.assoc)};
     return m;
 }

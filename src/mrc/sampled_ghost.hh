@@ -62,11 +62,52 @@
 #include <cstdint>
 #include <vector>
 
-#include "mrc/sampler.hh"
 #include "onepass/ghost_tags.hh"
 
 namespace mlc {
 namespace mrc {
+
+/** How a sampled engine component samples: the SHARDS filter of the
+ *  FA analyzers (trace/sampler.hh) and the set sampling of the
+ *  ghost forest. */
+struct SamplerConfig
+{
+    /** Initial sampling rate p in (0, 1]; 1.0 = exact. */
+    double rate = 0.01;
+    /**
+     * SHARDS-adaptive live-set budget s_max; 0 = fixed-rate. With
+     * a budget the owner starts at @ref rate (often 1.0) and halves
+     * its rate whenever it holds more than s_max live sampled
+     * blocks, keeping memory bounded no matter the trace footprint.
+     */
+    std::uint64_t budget = 0;
+    /**
+     * Per-member floor on miniature set counts for the sampled
+     * ghost forest: a member never scales below min(minSets, its
+     * full set count), which bounds cross-set variance — the only
+     * error source of set sampling, and one that does NOT average
+     * out with trace length (hot conflict sets stay hot). Members
+     * at or below the floor run exact; the per-member effective
+     * rate snaps to miniSets/fullSets so the scaling stays
+     * unbiased. The default keeps the paper-grid family within the
+     * bench/mrc_streaming 0.3%-absolute error gate at p = 0.01
+     * while still sampling the large members at ~1/128 of their
+     * sets; 4096-set members cost ~64KB of tags each, noise next
+     * to the O(trace) state the engine exists to avoid.
+     */
+    std::uint64_t minSets = 4096;
+    /**
+     * Extra salt folded into every forest member's kept-set phase.
+     * 0 (the default) keeps the canonical per-member subsets, so
+     * existing results are bit-stable; distinct seeds re-draw which
+     * sets each member keeps, giving independent estimates of the
+     * same curve whose spread *measures* the cross-set variance —
+     * bench/mrc_streaming's multi-salt error bars. Natural members
+     * (p = 1.0 or at the minSets floor) keep every set under any
+     * seed, so the exactness contract is seed-independent.
+     */
+    std::uint64_t saltSeed = 0;
+};
 
 /**
  * Drop-in sampled counterpart of onepass::GhostTagForest: same

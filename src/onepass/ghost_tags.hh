@@ -136,8 +136,9 @@ struct GhostLine
  *  vectors, the layout cache::TagArray proved out) so the per-way
  *  compare loop reduces to a branch-free sum reduction the
  *  compiler auto-vectorizes on targets with 64-bit lane compares
- *  (x86-64-v2 and up; see the MLC_MARCH CMake option). Build with
- *  -DMLC_VEC_REPORT=ON to see the vectorizer's verdict. */
+ *  (x86-64-v2 and up; see the MLC_MARCH CMake option). To see the
+ *  vectorizer's verdict, pass -fopt-info-vec-optimized (GCC) or
+ *  -Rpass=loop-vectorize (Clang) through CMAKE_CXX_FLAGS. */
 class GhostTagArray
 {
   public:

@@ -15,9 +15,10 @@
  * reaches leaves the whole stream counted. Sinks keep their state
  * across chunks, so any chunking gives the same profile. The sinks
  * type (ExactSinks, or mrc::SampledSinks) names a Forest that
- * sweep()/sweepSolo() accept (sharded.hh), an FA analyzer Fa with
- * compulsory(), and kCheckPivots: whether the pivots' own forest is
- * exact enough to check each pivot replay against (cascade.hh).
+ * sweep()/sweepSolo() accept (sharded.hh), the FA analyzer Fa (the
+ * one trace::StackDistanceAnalyzer, built exact or sampled), and
+ * kCheckPivots: whether the pivots' own forest is exact enough to
+ * check each pivot replay against (cascade.hh).
  */
 
 #ifndef MLC_ONEPASS_PIPELINE_HH
@@ -58,7 +59,6 @@ struct ExactSinks
         return Forest(specs, policies, shards);
     }
     Fa fa(std::uint32_t block_bytes) const { return Fa(block_bytes); }
-    static std::uint64_t compulsory(const Fa &a) { return a.infiniteCount(); }
 };
 
 /** Which parts of a family profile one FamilySink computes. */
@@ -132,7 +132,7 @@ class FamilySink
         const typename Sinks::Fa &a = fa_[faOf_[m]];
         cp.faMissRatio =
             a.missRatio(cp.spec.sizeBytes / cp.spec.blockBytes);
-        cp.faCompulsory = Sinks::compulsory(a);
+        cp.faCompulsory = a.compulsory();
     }
 
   private:

@@ -49,10 +49,45 @@ struct Window
     Segment measure{SegmentKind::Measure, 0, 0};
 };
 
+/** The schedule's windows in order; Skip segments drop out, so
+ *  their pages are never touched (streaming skip). */
+std::vector<Window>
+windowsOf(const SampleScheduler &sched)
+{
+    std::vector<Window> windows;
+    Window win;
+    for (const Segment &seg : sched.segments()) {
+        switch (seg.kind) {
+        case SegmentKind::Skip:
+            continue;
+        case SegmentKind::Warm:
+            win.warm = seg;
+            continue;
+        case SegmentKind::Detail:
+            win.detail = seg;
+            continue;
+        case SegmentKind::Measure:
+            win.measure = seg;
+            break;
+        }
+        windows.push_back(win);
+        win = Window{};
+    }
+    return windows;
+}
+
 trace::RefSpan
 spanOf(trace::RefSpan refs, const Segment &seg)
 {
     return refs.dropFirst(seg.begin).first(seg.len);
+}
+
+/** Validate @p seg just before replaying it (lazy traces only). */
+void
+validate(const trace::MappedBinaryTrace *mapped, const Segment &seg)
+{
+    if (mapped && seg.len)
+        mapped->validateRange(seg.begin, seg.len);
 }
 
 /** The functionallyEqual() field set of one cache, canonicalized. */
@@ -71,19 +106,82 @@ cacheKeyPart(const cache::CacheParams &p)
     return s;
 }
 
-/** The warmer machine: configs[0] cut to the shared prefix. Its
- *  "main memory" boundary is then exactly the entry into the first
- *  divergent level of every full configuration, and the per-level
- *  tag seeds (positional) line up with the prefix. */
-hier::HierarchyParams
-warmerParamsFor(const hier::HierarchyParams &first,
-                std::size_t prefix)
+/** The shared warmer of a warm-compatible family. */
+struct Warmer
 {
-    hier::HierarchyParams warmer = first;
-    warmer.levels.resize(prefix);
-    warmer.busWidthWords.resize(prefix + 1);
-    warmer.measureSolo = false;
-    return warmer;
+    /** Downstream levels every configuration shares. */
+    std::size_t prefix;
+    /** configs[0] cut to the shared prefix. Its "main memory"
+     *  boundary is then exactly the entry into the first divergent
+     *  level of every full configuration, and the per-level tag
+     *  seeds (positional) line up with the prefix. */
+    hier::HierarchyParams params;
+};
+
+Warmer
+warmerFor(const std::vector<hier::HierarchyParams> &configs)
+{
+    Warmer w{configs[0].levels.size(), configs[0]};
+    for (std::size_t c = 1; c < configs.size(); ++c)
+        w.prefix = std::min(
+            w.prefix,
+            hier::sharedFunctionalPrefix(configs[0], configs[c]));
+    w.params.levels.resize(w.prefix);
+    w.params.busWidthWords.resize(w.prefix + 1);
+    w.params.measureSolo = false;
+    return w;
+}
+
+/** The farm key of @p warmer's live points over @p sched. */
+ckpt::CheckpointKey
+checkpointKey(const std::string &trace_id, const SampleScheduler &sched,
+              const SampledOptions &resolved, const Warmer &warmer)
+{
+    ckpt::CheckpointKey key;
+    key.traceId = trace_id;
+    key.scheduleKey =
+        scheduleKeyFor(sched.plan(), resolved.mode, resolved.seed);
+    key.configHash = warmerConfigKey(warmer.params, warmer.prefix);
+    return key;
+}
+
+/** One window's warm state: the traffic that crossed the warmer's
+ *  memory boundary while warming, and the prefix snapshot. */
+struct WarmState
+{
+    std::vector<hier::BoundaryOp> ops;
+    hier::WarmSnapshot snap;
+    SnapshotArena arena;
+};
+
+/**
+ * One warming pass for the whole family: replay @p win's Warm
+ * segment on @p sim (the warmer machine), recording the traffic
+ * that crosses its memory boundary, capture the prefix into
+ * @p state and tee it to @p writer when there is one. Then replay
+ * Detail and Measure untimed: the configurations replay them timed,
+ * and the warmer must see the same references so that the next
+ * window's warm state matches a straight-line run.
+ */
+void
+warmWindow(hier::HierarchySimulator &sim, std::size_t prefix,
+           trace::RefSpan refs, const Window &win,
+           const trace::MappedBinaryTrace *mapped, WarmState &state,
+           ckpt::CheckpointWriter *writer)
+{
+    validate(mapped, win.warm);
+    validate(mapped, win.detail);
+    validate(mapped, win.measure);
+    state.ops.clear();
+    sim.setBoundaryRecorder(&state.ops);
+    sim.runFunctional(spanOf(refs, win.warm));
+    sim.setBoundaryRecorder(nullptr);
+    state.arena.reset();
+    sim.captureWarmState(state.arena, state.snap, prefix);
+    if (writer)
+        writer->addWindow(state.ops, state.snap, state.arena);
+    sim.runFunctional(spanOf(refs, win.detail));
+    sim.runFunctional(spanOf(refs, win.measure));
 }
 
 } // namespace
@@ -176,16 +274,10 @@ runSweepCheckpointed(const std::vector<hier::HierarchyParams> &configs,
         return sweep;
     }
 
-    std::size_t prefix = configs[0].levels.size();
-    for (std::size_t c = 1; c < configs.size(); ++c)
-        prefix = std::min(
-            prefix, hier::sharedFunctionalPrefix(configs[0],
-                                                 configs[c]));
+    const Warmer shared = warmerFor(configs);
+    const std::size_t prefix = shared.prefix;
     sweep.checkpointed = true;
     sweep.prefixLevels = prefix;
-
-    const hier::HierarchyParams warmer_params =
-        warmerParamsFor(configs[0], prefix);
 
     SampleScheduler sched(refs.size, resolved);
 
@@ -196,11 +288,7 @@ runSweepCheckpointed(const std::vector<hier::HierarchyParams> &configs,
     std::unique_ptr<ckpt::CheckpointWriter> writer;
     ckpt::CheckpointKey key;
     if (policy.store) {
-        key.traceId = policy.traceId;
-        key.scheduleKey =
-            scheduleKeyFor(sched.plan(), resolved.mode,
-                           resolved.seed);
-        key.configHash = warmerConfigKey(warmer_params, prefix);
+        key = checkpointKey(policy.traceId, sched, resolved, shared);
         const std::uint64_t fingerprint =
             ckpt::traceFingerprint(refs.data, refs.size);
         ckpt::MissReason reason = ckpt::MissReason::None;
@@ -237,7 +325,7 @@ runSweepCheckpointed(const std::vector<hier::HierarchyParams> &configs,
     std::unique_ptr<hier::HierarchySimulator> warmer;
     if (!reader)
         warmer = std::make_unique<hier::HierarchySimulator>(
-            warmer_params);
+            shared.params);
 
     std::vector<std::unique_ptr<hier::HierarchySimulator>> sims;
     sims.reserve(configs.size());
@@ -260,27 +348,9 @@ runSweepCheckpointed(const std::vector<hier::HierarchyParams> &configs,
                            [](std::uint8_t a) { return a != 0; });
     };
 
-    SnapshotArena arena;
-    hier::WarmSnapshot snap;
-    std::vector<hier::BoundaryOp> ops;
+    WarmState state;
     std::size_t window_idx = 0;
-
-    Window win;
-    for (const Segment &seg : sched.segments()) {
-        switch (seg.kind) {
-        case SegmentKind::Skip:
-            continue; // pages stay untouched (streaming skip)
-        case SegmentKind::Warm:
-            win.warm = seg;
-            continue;
-        case SegmentKind::Detail:
-            win.detail = seg;
-            continue;
-        case SegmentKind::Measure:
-            win.measure = seg;
-            break;
-        }
-
+    for (const Window &win : windowsOf(sched)) {
         // Adaptive stopping retired everyone: a teeing sweep keeps
         // warming so the published file covers the full schedule
         // (a farm entry must serve any stopping rule), everyone
@@ -289,54 +359,28 @@ runSweepCheckpointed(const std::vector<hier::HierarchyParams> &configs,
         if (!branching && !writer)
             break;
 
-        if (mapped) {
-            // Validate exactly what this window replays, just
-            // before replaying it (lazy traces only). With a
-            // checkpoint reader the warm segment is never replayed
-            // by anything, so its pages are never validated — or
-            // touched — at all.
-            if (!reader && win.warm.len)
-                mapped->validateRange(win.warm.begin, win.warm.len);
-            if (branching || !reader) {
-                if (win.detail.len)
-                    mapped->validateRange(win.detail.begin,
-                                          win.detail.len);
-                mapped->validateRange(win.measure.begin,
-                                      win.measure.len);
-            }
-        }
-
-        const trace::RefSpan warm_span = spanOf(refs, win.warm);
-        const trace::RefSpan detail_span = spanOf(refs, win.detail);
-        const trace::RefSpan measure_span =
-            spanOf(refs, win.measure);
-
         if (reader) {
-            // Load this window's live-point instead of warming.
-            // open() already checksum-verified every record, so a
-            // structural decode failure here is a format bug, not
-            // bit rot — fail the run, don't risk silent drift.
-            if (!reader->loadWindow(window_idx, ops, snap, arena))
+            // Load this window's live-point instead of warming, so
+            // the warm segment's pages are never validated — or
+            // touched — at all. open() already checksum-verified
+            // every record, so a structural decode failure here is
+            // a format bug, not bit rot — fail the run, don't risk
+            // silent drift.
+            validate(mapped, win.detail);
+            validate(mapped, win.measure);
+            if (!reader->loadWindow(window_idx, state.ops, state.snap,
+                                    state.arena))
                 mlc_panic("checkpoint window ", window_idx, " of ",
                           policy.store->pathFor(key),
                           " failed structural decode after "
                           "verification");
-            if (snap.prefixLevels != prefix)
+            if (state.snap.prefixLevels != prefix)
                 mlc_panic("checkpoint window ", window_idx,
-                          " snapshot covers ", snap.prefixLevels,
+                          " snapshot covers ", state.snap.prefixLevels,
                           " levels, sweep expects ", prefix);
         } else {
-            // One warming pass for everyone: replay the warm
-            // segment on the truncated machine, recording the
-            // traffic that crosses its memory boundary.
-            ops.clear();
-            warmer->setBoundaryRecorder(&ops);
-            warmer->runFunctional(warm_span);
-            warmer->setBoundaryRecorder(nullptr);
-            arena.reset();
-            warmer->captureWarmState(arena, snap, prefix);
-            if (writer)
-                writer->addWindow(ops, snap, arena);
+            warmWindow(*warmer, prefix, refs, win, mapped, state,
+                       writer.get());
         }
         ++window_idx;
 
@@ -345,38 +389,26 @@ runSweepCheckpointed(const std::vector<hier::HierarchyParams> &configs,
         // divergent levels — then the prefix restore) and runs its
         // own timed Detail+Measure. Slot-indexed per-config state
         // keeps any jobs count bit-identical.
-        if (branching) {
-            parallelFor(jobs, configs.size(), [&](std::size_t c) {
-                if (!active[c])
-                    return;
-                hier::HierarchySimulator &sim = *sims[c];
-                SampledResult &out = sweep.perConfig[c];
-                sim.replayBoundary(prefix, ops);
-                sim.restoreWarmState(arena, snap);
-                out.refsFunctionalWarmed += win.warm.len;
-                if (win.detail.len) {
-                    sim.run(detail_span);
-                    out.refsDetailWarmed += win.detail.len;
-                }
-                detail::measureWindow(sim, measure_span, resolved,
-                                      out);
-                if (out.stoppedEarly)
-                    active[c] = 0;
-            });
-        }
-
-        if (!anyActive() && !writer)
-            break;
-
-        // Keep the warmer functionally in step with a straight-line
-        // run: the references the configurations just replayed
-        // timed must evolve the warmer's tags too, or the next
-        // window's shared warm state would drift.
-        if (!reader) {
-            warmer->runFunctional(detail_span);
-            warmer->runFunctional(measure_span);
-        }
-        win = Window{};
+        if (!branching)
+            continue;
+        const trace::RefSpan detail_span = spanOf(refs, win.detail);
+        const trace::RefSpan measure_span = spanOf(refs, win.measure);
+        parallelFor(jobs, configs.size(), [&](std::size_t c) {
+            if (!active[c])
+                return;
+            hier::HierarchySimulator &sim = *sims[c];
+            SampledResult &out = sweep.perConfig[c];
+            sim.replayBoundary(prefix, state.ops);
+            sim.restoreWarmState(state.arena, state.snap);
+            out.refsFunctionalWarmed += win.warm.len;
+            if (win.detail.len) {
+                sim.run(detail_span);
+                out.refsDetailWarmed += win.detail.len;
+            }
+            detail::measureWindow(sim, measure_span, resolved, out);
+            if (out.stoppedEarly)
+                active[c] = 0;
+        });
     }
 
     if (writer) {
@@ -412,20 +444,10 @@ buildCheckpointFarm(const std::vector<hier::HierarchyParams> &configs,
             mlc_panic("buildCheckpointFarm: configurations are "
                       "not warm-compatible; nothing to persist");
 
-    std::size_t prefix = configs[0].levels.size();
-    for (std::size_t c = 1; c < configs.size(); ++c)
-        prefix = std::min(
-            prefix, hier::sharedFunctionalPrefix(configs[0],
-                                                 configs[c]));
-    const hier::HierarchyParams warmer_params =
-        warmerParamsFor(configs[0], prefix);
-
+    const Warmer shared = warmerFor(configs);
     SampleScheduler sched(refs.size, resolved);
-    ckpt::CheckpointKey key;
-    key.traceId = trace_id;
-    key.scheduleKey =
-        scheduleKeyFor(sched.plan(), resolved.mode, resolved.seed);
-    key.configHash = warmerConfigKey(warmer_params, prefix);
+    const ckpt::CheckpointKey key =
+        checkpointKey(trace_id, sched, resolved, shared);
     const std::uint64_t fingerprint =
         ckpt::traceFingerprint(refs.data, refs.size);
 
@@ -438,53 +460,13 @@ buildCheckpointFarm(const std::vector<hier::HierarchyParams> &configs,
         return out;
     }
 
+    // The teeing sweep's warming pass, without the branches.
     ckpt::CheckpointWriter writer(key, refs.size, fingerprint);
-    hier::HierarchySimulator warmer(warmer_params);
-    SnapshotArena arena;
-    hier::WarmSnapshot snap;
-    std::vector<hier::BoundaryOp> ops;
-
-    Window win;
-    for (const Segment &seg : sched.segments()) {
-        switch (seg.kind) {
-        case SegmentKind::Skip:
-            continue;
-        case SegmentKind::Warm:
-            win.warm = seg;
-            continue;
-        case SegmentKind::Detail:
-            win.detail = seg;
-            continue;
-        case SegmentKind::Measure:
-            win.measure = seg;
-            break;
-        }
-
-        if (mapped) {
-            if (win.warm.len)
-                mapped->validateRange(win.warm.begin, win.warm.len);
-            if (win.detail.len)
-                mapped->validateRange(win.detail.begin,
-                                      win.detail.len);
-            mapped->validateRange(win.measure.begin,
-                                  win.measure.len);
-        }
-
-        ops.clear();
-        warmer.setBoundaryRecorder(&ops);
-        warmer.runFunctional(spanOf(refs, win.warm));
-        warmer.setBoundaryRecorder(nullptr);
-        arena.reset();
-        warmer.captureWarmState(arena, snap, prefix);
-        writer.addWindow(ops, snap, arena);
-
-        // The branch configurations replay Detail+Measure timed;
-        // the offline builder only needs the warmer to see the
-        // same references untimed so successive windows line up.
-        warmer.runFunctional(spanOf(refs, win.detail));
-        warmer.runFunctional(spanOf(refs, win.measure));
-        win = Window{};
-    }
+    hier::HierarchySimulator warmer(shared.params);
+    WarmState state;
+    for (const Window &win : windowsOf(sched))
+        warmWindow(warmer, shared.prefix, refs, win, mapped, state,
+                   &writer);
 
     std::string err;
     out.fileBytes = store.publish(writer, key, &err);

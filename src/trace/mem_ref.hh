@@ -120,6 +120,32 @@ makeIFetch(Addr addr, std::uint16_t pid = 0)
     return MemRef{addr, RefType::IFetch, 4, pid};
 }
 
+/** Per-type reference counts accumulated by observation. */
+struct RefCounts
+{
+    std::uint64_t ifetches = 0;
+    std::uint64_t loads = 0;
+    std::uint64_t stores = 0;
+
+    std::uint64_t total() const { return ifetches + loads + stores; }
+
+    void
+    observe(const MemRef &ref)
+    {
+        switch (ref.type) {
+          case RefType::IFetch:
+            ++ifetches;
+            break;
+          case RefType::Load:
+            ++loads;
+            break;
+          case RefType::Store:
+            ++stores;
+            break;
+        }
+    }
+};
+
 } // namespace trace
 } // namespace mlc
 

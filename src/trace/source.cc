@@ -5,18 +5,6 @@
 namespace mlc {
 namespace trace {
 
-std::uint64_t
-drain(TraceSource &source, TraceSink &sink)
-{
-    std::uint64_t n = 0;
-    MemRef ref;
-    while (source.next(ref)) {
-        sink.put(ref);
-        ++n;
-    }
-    return n;
-}
-
 std::vector<MemRef>
 collect(TraceSource &source, std::uint64_t limit)
 {

@@ -1,11 +1,11 @@
 /**
  * @file
- * Trace source/sink interfaces and the small adaptors built on them.
+ * Trace source/sink interfaces and the in-memory sources.
  *
  * A TraceSource produces MemRefs — one at a time through next(),
  * or many per call through nextBatch() for hot-path consumers; file
  * readers are finite, synthetic generators are unbounded. A
- * TraceSink consumes them (file writers, counters). The simulator
+ * TraceSink consumes them (the file writers). The simulator
  * pulls from whatever source it is given, so workloads, files and
  * test vectors are interchangeable.
  */
@@ -154,47 +154,6 @@ class SpanSource : public TraceSource
     RefSpan span_;
     std::size_t pos_ = 0;
 };
-
-/** A sink that stores everything it sees. */
-class VectorSink : public TraceSink
-{
-  public:
-    void put(const MemRef &ref) override { refs_.push_back(ref); }
-
-    const std::vector<MemRef> &refs() const { return refs_; }
-    std::vector<MemRef> take() { return std::move(refs_); }
-
-  private:
-    std::vector<MemRef> refs_;
-};
-
-/** Caps an underlying source at a fixed number of references. */
-class LimitSource : public TraceSource
-{
-  public:
-    /** Does not own @p inner ; it must outlive this adaptor. */
-    LimitSource(TraceSource &inner, std::uint64_t limit)
-        : inner_(inner), remaining_(limit)
-    {}
-
-    bool
-    next(MemRef &ref) override
-    {
-        if (remaining_ == 0)
-            return false;
-        if (!inner_.next(ref))
-            return false;
-        --remaining_;
-        return true;
-    }
-
-  private:
-    TraceSource &inner_;
-    std::uint64_t remaining_;
-};
-
-/** Drain @p source into @p sink ; returns the number transferred. */
-std::uint64_t drain(TraceSource &source, TraceSink &sink);
 
 /** Collect up to @p limit references into a vector. */
 std::vector<MemRef> collect(TraceSource &source, std::uint64_t limit);

@@ -1,6 +1,7 @@
 #include "trace/stack_distance.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/bits.hh"
 #include "util/logging.hh"
@@ -8,9 +9,12 @@
 namespace mlc {
 namespace trace {
 
-StackDistanceAnalyzer::StackDistanceAnalyzer(
-    std::uint64_t granule_bytes, std::uint64_t max_granules)
-    : maxGranules_(max_granules)
+StackDistanceAnalyzer::StackDistanceAnalyzer(std::uint64_t granule_bytes,
+                                             double rate,
+                                             std::uint64_t budget,
+                                             std::uint64_t max_granules)
+    : maxGranules_(max_granules), sampler_(rate, budget),
+      exact_(sampler_.threshold() == kKeepAll && !sampler_.adaptive())
 {
     if (granule_bytes == 0 || !isPowerOfTwo(granule_bytes))
         mlc_panic("StackDistanceAnalyzer: granule size must be a "
@@ -61,29 +65,21 @@ StackDistanceAnalyzer::compact()
     }
 }
 
-void
-StackDistanceAnalyzer::recordDistance(std::uint64_t distance)
-{
-    if (distance < kExactLimit) {
-        if (distance >= exact_.size())
-            exact_.resize(static_cast<std::size_t>(distance) + 1, 0);
-        ++exact_[static_cast<std::size_t>(distance)];
-    } else {
-        ++overLimit_;
-    }
-
-    const std::size_t bucket =
-        distance == 0 ? 0 : floorLog2(distance);
-    if (bucket >= profile_.size())
-        profile_.resize(bucket + 1, 0);
-    ++profile_[bucket];
-}
-
 std::uint64_t
 StackDistanceAnalyzer::access(Addr addr)
 {
     const Addr granule = addr >> granuleShift_;
     ++references_;
+
+    double rate = 1.0;
+    if (!exact_) {
+        if (!sampler_.keep(hashBlock(granule)))
+            return kNotSampled;
+        rate = sampler_.rate();
+    }
+    ++sampledReferences_;
+    const double weight = 1.0 / rate;
+    totalW_ += weight;
 
     ++now_;
     if (now_ >= fenwick_.size()) {
@@ -109,43 +105,80 @@ StackDistanceAnalyzer::access(Addr addr)
             mlc_panic(
                 "StackDistanceAnalyzer: trace footprint exceeds ",
                 maxGranules_,
-                " distinct granules; exact stack-distance state "
-                "grows with the footprint and would keep growing. "
-                "Use the sampled engine (--engine=mrc / "
-                "mrc::SampledStackDistance) for traces this large, "
+                " distinct granules; stack-distance state grows "
+                "with the tracked footprint and would keep growing. "
+                "Sample the stream (a rate below 1 or a budget; "
+                "--engine=mrc in the CLIs) for traces this large, "
                 "or raise the cap explicitly if the memory is "
                 "truly available.");
         distance = kInfinite;
-        ++infiniteCount_;
+        infiniteW_ += weight;
     } else {
         // Marks strictly after the previous access are exactly the
-        // distinct granules touched in between.
+        // distinct kept granules touched in between; each stands
+        // for 1/p distinct full-stream granules.
         const std::int64_t between =
             fenwickPrefix(now_ - 1) - fenwickPrefix(it->second);
-        distance = static_cast<std::uint64_t>(between);
+        distance = exact_ ? static_cast<std::uint64_t>(between)
+                          : static_cast<std::uint64_t>(std::llround(
+                                static_cast<double>(between) / rate));
         fenwickAdd(it->second, -1);
-        recordDistance(distance);
+        if (distance < kExactLimit) {
+            if (distance >= distanceW_.size())
+                distanceW_.resize(
+                    static_cast<std::size_t>(distance) + 1, 0.0);
+            distanceW_[static_cast<std::size_t>(distance)] += weight;
+        } else {
+            overLimitW_ += weight;
+        }
     }
 
     fenwickAdd(now_, 1);
     last_[granule] = now_;
+
+    if (sampler_.adaptive() && last_.size() > sampler_.budget())
+        enforceBudget();
     return distance;
+}
+
+void
+StackDistanceAnalyzer::enforceBudget()
+{
+    // Halve the filter until the kept live set fits; a lowering
+    // only ever narrows the filter, so this evicts, never refills.
+    while (last_.size() > sampler_.budget() &&
+           sampler_.threshold() > 1) {
+        sampler_.lower();
+        for (auto it = last_.begin(); it != last_.end();) {
+            if (!sampler_.keep(hashBlock(it->first))) {
+                fenwickAdd(it->second, -1);
+                it = last_.erase(it);
+            } else {
+                ++it;
+            }
+        }
+    }
+}
+
+std::uint64_t
+StackDistanceAnalyzer::compulsory() const
+{
+    return static_cast<std::uint64_t>(std::llround(infiniteW_));
 }
 
 double
 StackDistanceAnalyzer::missRatio(std::uint64_t capacity_granules) const
 {
-    if (references_ == 0)
-        return 0.0;
-    std::uint64_t misses = infiniteCount_ + overLimit_;
-    for (std::size_t d = static_cast<std::size_t>(capacity_granules);
-         d < exact_.size(); ++d)
-        misses += exact_[d];
     if (capacity_granules >= kExactLimit)
         mlc_panic("StackDistanceAnalyzer::missRatio beyond exact "
                   "tracking limit");
-    return static_cast<double>(misses) /
-           static_cast<double>(references_);
+    if (totalW_ == 0.0)
+        return 0.0;
+    double misses = infiniteW_ + overLimitW_;
+    for (std::size_t d = static_cast<std::size_t>(capacity_granules);
+         d < distanceW_.size(); ++d)
+        misses += distanceW_[d];
+    return misses / totalW_;
 }
 
 } // namespace trace

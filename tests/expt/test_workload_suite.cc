@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "expt/workload_suite.hh"
-#include "trace/filter.hh"
+#include "trace/mem_ref.hh"
 
 namespace mlc {
 namespace expt {

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,6 +31,10 @@
 namespace mlc {
 namespace mrc {
 namespace {
+
+// Both engines build the one stack-distance analyzer, exact or
+// sampled.
+static_assert(std::is_same_v<SampledSinks::Fa, onepass::ExactSinks::Fa>);
 
 /** Pins MLC_QUICK off for one test. The statistical-tolerance test
  *  below is calibrated at smallStore()'s 60k-ref scale, which is

@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -292,6 +294,48 @@ TEST(CheckpointPersist, EarlyStoppingTeePublishesFullSchedule)
     EXPECT_TRUE(full.fromCheckpointFile);
     expectSweepsIdentical(
         full, runSweepCheckpointed(configs, span(), options()));
+}
+
+/** The whole file a store holds for trace id "t" (one entry). */
+std::string
+farmBytes(const ckpt::CheckpointStore &store)
+{
+    const std::vector<ckpt::FarmEntry> entries = store.list("t");
+    EXPECT_EQ(entries.size(), 1u);
+    if (entries.empty())
+        return {};
+    std::ifstream in(entries.front().path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** buildCheckpointFarm publishes byte for byte the file a teeing
+ *  sweep publishes for the same family, including a tee whose
+ *  sweep stopped early and warmed on alone. */
+TEST(CheckpointPersist, OfflineFarmEqualsTeedFarm)
+{
+    const auto configs = l2Family();
+    ckpt::CheckpointStore offline(freshRoot("farm_offline"));
+    const FarmBuildResult built =
+        buildCheckpointFarm(configs, span(), options(), offline, "t");
+    ASSERT_TRUE(built.built);
+    const std::string expected = farmBytes(offline);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(expected.size(), built.fileBytes);
+
+    SampledOptions stopping = options();
+    stopping.targetRelHalfWidth = 0.5;
+    stopping.minWindows = 2;
+    for (const SampledOptions &opts : {options(), stopping}) {
+        ckpt::CheckpointStore teed(freshRoot("farm_teed"));
+        CheckpointPolicy policy;
+        policy.store = &teed;
+        policy.traceId = "t";
+        const SweepResult sweep = runSweepCheckpointed(
+            configs, span(), opts, 1, nullptr, policy);
+        ASSERT_TRUE(sweep.builtCheckpointFile);
+        EXPECT_TRUE(farmBytes(teed) == expected);
+    }
 }
 
 TEST(CheckpointPersist, GridCheckpointedWithStoreMatches)

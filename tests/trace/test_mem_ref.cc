@@ -48,6 +48,19 @@ TEST(MemRef, ToStringIsReadable)
     EXPECT_NE(s.find("pid 3"), std::string::npos);
 }
 
+TEST(RefCounts, TalliesByType)
+{
+    RefCounts counts;
+    for (const MemRef &ref :
+         {makeIFetch(0x00), makeLoad(0x10), makeStore(0x20),
+          makeIFetch(0x04), makeStore(0x30), makeLoad(0x40)})
+        counts.observe(ref);
+    EXPECT_EQ(counts.ifetches, 2ULL);
+    EXPECT_EQ(counts.loads, 2ULL);
+    EXPECT_EQ(counts.stores, 2ULL);
+    EXPECT_EQ(counts.total(), 6ULL);
+}
+
 } // namespace
 } // namespace trace
 } // namespace mlc

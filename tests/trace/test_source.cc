@@ -1,4 +1,4 @@
-/** @file Unit tests for trace sources, sinks and adaptors. */
+/** @file Unit tests for the in-memory trace sources. */
 
 #include <gtest/gtest.h>
 
@@ -37,33 +37,6 @@ TEST(VectorSource, RewindReplays)
     src.rewind();
     ASSERT_TRUE(src.next(ref));
     EXPECT_EQ(ref, makeIFetch(0x0));
-}
-
-TEST(VectorSink, Collects)
-{
-    VectorSink sink;
-    sink.put(makeLoad(1));
-    sink.put(makeLoad(2));
-    ASSERT_EQ(sink.refs().size(), 2u);
-    EXPECT_EQ(sink.refs()[1].addr, 2ULL);
-}
-
-TEST(LimitSource, CapsOutput)
-{
-    VectorSource inner(threeRefs());
-    LimitSource limited(inner, 2);
-    MemRef ref;
-    EXPECT_TRUE(limited.next(ref));
-    EXPECT_TRUE(limited.next(ref));
-    EXPECT_FALSE(limited.next(ref));
-}
-
-TEST(LimitSource, ZeroLimitIsEmpty)
-{
-    VectorSource inner(threeRefs());
-    LimitSource limited(inner, 0);
-    MemRef ref;
-    EXPECT_FALSE(limited.next(ref));
 }
 
 /** A source exposing only next(), so nextBatch() exercises the
@@ -152,14 +125,6 @@ TEST(RefSpan, FirstAndDropFirstClamp)
     EXPECT_EQ(span.dropFirst(1).size, 2u);
     EXPECT_EQ(span.dropFirst(1)[0], makeLoad(0x100));
     EXPECT_TRUE(span.dropFirst(7).empty());
-}
-
-TEST(Drain, MovesEverything)
-{
-    VectorSource src(threeRefs());
-    VectorSink sink;
-    EXPECT_EQ(drain(src, sink), 3ULL);
-    EXPECT_EQ(sink.refs().size(), 3u);
 }
 
 TEST(Collect, StopsAtLimitOrEnd)

@@ -1,6 +1,10 @@
-/** @file Unit and property tests for the stack-distance analyzer. */
+/** @file Unit and property tests for the stack-distance analyzer:
+ *  exact counts against a brute-force LRU stack, and in its sampled
+ *  mode bit-identity with exact at p = 1.0, the scaled estimate
+ *  tracking the exact curve at real rates, and the adaptive budget
+ *  bounding the live sampled footprint. */
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -119,14 +123,14 @@ TEST(StackDistance, CompactionPreservesAnswers)
 TEST(StackDistance, InfiniteCountEqualsDistinctGranules)
 {
     StackDistanceAnalyzer an(16);
-    EXPECT_EQ(an.infiniteCount(), 0ULL);
+    EXPECT_EQ(an.compulsory(), 0ULL);
     Rng rng(31);
     for (int i = 0; i < 10000; ++i)
         an.access(rng.nextBounded(400) * 16);
     // Granules are never forgotten, so every first touch is an
     // infinite-distance reference and vice versa.
-    EXPECT_EQ(an.infiniteCount(), an.distinctGranules());
-    EXPECT_GT(an.infiniteCount(), 0ULL);
+    EXPECT_EQ(an.compulsory(), an.distinctGranules());
+    EXPECT_GT(an.compulsory(), 0ULL);
 }
 
 TEST(StackDistance, ExactAcrossCompactionBoundaries)
@@ -165,7 +169,7 @@ TEST(StackDistanceDeathTest, RejectsNonPowerOfTwoGranule)
 
 TEST(StackDistance, FootprintCapPanicsPointingAtSampledEngine)
 {
-    StackDistanceAnalyzer an(16, /*max_granules=*/4);
+    StackDistanceAnalyzer an(16, 1.0, 0, /*max_granules=*/4);
     for (int i = 0; i < 4; ++i)
         an.access(static_cast<Addr>(i) * 16);
     // Reuse below the cap stays legal.
@@ -173,26 +177,121 @@ TEST(StackDistance, FootprintCapPanicsPointingAtSampledEngine)
     // The fifth distinct granule trips the loud panic, which must
     // name the escape hatch (the sampled engine).
     EXPECT_DEATH(an.access(4 * 16), "engine=mrc");
-    StackDistanceAnalyzer none(16, 1);
+    StackDistanceAnalyzer none(16, 1.0, 0, 1);
     none.access(0);
     EXPECT_DEATH(none.access(16), "footprint exceeds 1");
 }
 
 TEST(StackDistance, ZeroCapIsRejected)
 {
-    EXPECT_DEATH(StackDistanceAnalyzer(16, 0), "max_granules");
+    EXPECT_DEATH(StackDistanceAnalyzer(16, 1.0, 0, 0), "max_granules");
 }
 
-TEST(StackDistance, Log2ProfileBucketsDistances)
+/** A stream with hot reuse and a cold tail, the shape real
+ *  reference streams have. */
+std::vector<Addr>
+stream(std::uint64_t n, std::uint64_t seed)
 {
-    StackDistanceAnalyzer an(16);
-    an.access(0x00);
-    an.access(0x10);
-    an.access(0x00); // distance 1 -> bucket 0
-    an.access(0x10); // distance 1 -> bucket 0
-    const auto &profile = an.log2Profile();
-    ASSERT_FALSE(profile.empty());
-    EXPECT_EQ(profile[0], 2ULL);
+    Rng rng(seed);
+    std::vector<Addr> out;
+    out.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (rng.nextBounded(4) != 0)
+            out.push_back(rng.nextBounded(1u << 12) * 16); // hot
+        else
+            out.push_back(rng.nextBounded(1u << 20) * 16); // tail
+    }
+    return out;
+}
+
+TEST(SampledStack, UnitRateBitIdenticalToExactAnalyzer)
+{
+    // An adaptive analyzer starts at rate 1 on the SHARDS path
+    // (hashing, weighting, scaling); with a budget the stream never
+    // reaches, it must agree with the exact path reference for
+    // reference.
+    StackDistanceAnalyzer exact(16);
+    StackDistanceAnalyzer sampled(16, 1.0, /*budget=*/1u << 30);
+
+    for (const Addr a : stream(60'000, 3))
+        EXPECT_EQ(sampled.access(a), exact.access(a));
+    EXPECT_DOUBLE_EQ(sampled.rate(), 1.0);
+    EXPECT_EQ(sampled.references(), exact.references());
+    EXPECT_EQ(sampled.sampledReferences(), exact.references());
+    EXPECT_EQ(exact.sampledReferences(), exact.references());
+    EXPECT_EQ(sampled.distinctGranules(), exact.distinctGranules());
+    EXPECT_EQ(sampled.compulsory(), exact.distinctGranules());
+    for (const std::uint64_t cap :
+         {std::uint64_t{16}, std::uint64_t{256},
+          std::uint64_t{4096}, std::uint64_t{1} << 16})
+        EXPECT_DOUBLE_EQ(sampled.missRatio(cap),
+                         exact.missRatio(cap))
+            << cap;
+}
+
+TEST(SampledStack, SampledRateTracksExactCurveWithinTolerance)
+{
+    StackDistanceAnalyzer exact(16);
+    StackDistanceAnalyzer sampled(16, 0.1);
+
+    for (const Addr a : stream(200'000, 5)) {
+        exact.access(a);
+        sampled.access(a);
+    }
+    // Roughly a tenth of the references pass the spatial filter.
+    EXPECT_NEAR(static_cast<double>(sampled.sampledReferences()) /
+                    static_cast<double>(sampled.references()),
+                0.1, 0.03);
+    // The scaled footprint estimate tracks the exact one.
+    EXPECT_NEAR(static_cast<double>(sampled.compulsory()) /
+                    static_cast<double>(exact.distinctGranules()),
+                1.0, 0.1);
+    for (const std::uint64_t cap :
+         {std::uint64_t{256}, std::uint64_t{4096},
+          std::uint64_t{1} << 16})
+        EXPECT_NEAR(sampled.missRatio(cap), exact.missRatio(cap),
+                    0.05)
+            << cap;
+}
+
+TEST(SampledStack, NotSampledReferencesAreFlagged)
+{
+    StackDistanceAnalyzer sampled(16, 0.01);
+    std::uint64_t flagged = 0;
+    constexpr std::uint64_t kRefs = 20'000;
+    for (std::uint64_t i = 0; i < kRefs; ++i)
+        if (sampled.access(i * 16) ==
+            StackDistanceAnalyzer::kNotSampled)
+            ++flagged;
+    // Nearly everything misses a 1% filter on distinct granules.
+    EXPECT_GT(flagged, kRefs * 95 / 100);
+    EXPECT_EQ(sampled.sampledReferences(), kRefs - flagged);
+}
+
+TEST(SampledStack, AdaptiveBudgetBoundsLiveFootprint)
+{
+    constexpr std::uint64_t kBudget = 1000;
+    StackDistanceAnalyzer sampled(16, 1.0, kBudget);
+
+    // A pure cold stream: footprint grows without the budget.
+    for (std::uint64_t i = 0; i < 100'000; ++i) {
+        sampled.access(i * 16);
+        EXPECT_LE(sampled.distinctGranules(), kBudget);
+    }
+    EXPECT_LT(sampled.rate(), 1.0);
+    // The scaled footprint estimate still tracks the true 100k
+    // granules despite holding at most 1000 live entries.
+    EXPECT_NEAR(static_cast<double>(sampled.compulsory()) / 100'000.0,
+                1.0, 0.2);
+}
+
+TEST(SampledStack, EmptyAndDegenerateQueries)
+{
+    StackDistanceAnalyzer sampled(16, 1.0, /*budget=*/1000);
+    EXPECT_DOUBLE_EQ(sampled.missRatio(64), 0.0);
+    sampled.access(0);
+    // A single first touch is a compulsory miss at any capacity.
+    EXPECT_DOUBLE_EQ(sampled.missRatio(64), 1.0);
 }
 
 } // namespace
