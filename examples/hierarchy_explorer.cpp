@@ -55,7 +55,6 @@
  */
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -71,9 +70,8 @@
 #include "sample/engine.hh"
 #include "sample/sweep.hh"
 #include "trace/binary.hh"
-#include "trace/compressed.hh"
-#include "trace/dinero.hh"
 #include "trace/interleave.hh"
+#include "trace/source.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
 #include "util/thread_pool.hh"
@@ -81,26 +79,6 @@
 using namespace mlc;
 
 namespace {
-
-/** Read a trace file in any of the three formats into memory. */
-std::vector<trace::MemRef>
-readTraceFile(const std::string &path, std::uint64_t limit)
-{
-    const bool dinero = endsWith(path, ".din");
-    std::ifstream file(path, dinero ? std::ios::in
-                                    : std::ios::in |
-                                          std::ios::binary);
-    if (!file)
-        mlc_fatal("cannot open trace ", path);
-    std::unique_ptr<trace::TraceSource> source;
-    if (dinero)
-        source = std::make_unique<trace::DineroReader>(file);
-    else if (endsWith(path, ".mlcz"))
-        source = std::make_unique<trace::CompressedReader>(file);
-    else
-        source = std::make_unique<trace::BinaryReader>(file);
-    return trace::collect(*source, limit);
-}
 
 /**
  * The one-pass report (onepass or mrc engine, two or three levels):
@@ -251,8 +229,7 @@ main(int argc, char **argv)
     std::string stream_name;
     if (!trace_path.empty()) {
         stream_name = trace_path;
-        if (!endsWith(trace_path, ".din") &&
-            !endsWith(trace_path, ".mlcz")) {
+        if (trace::isMappable(trace_path)) {
             // MLCT binary: map the file and replay it in place.
             // The sampled and one-pass engines validate only the
             // ranges they replay, so skipped windows never touch
@@ -264,7 +241,8 @@ main(int argc, char **argv)
                        : trace::MappedBinaryTrace::Validation::Lazy);
             replay_all = mapped->span().first(warmup + refs);
         } else {
-            stream = readTraceFile(trace_path, warmup + refs);
+            stream = trace::collect(*trace::openTraceFile(trace_path),
+                                    warmup + refs);
             replay_all = {stream.data(), stream.size()};
         }
     } else {

@@ -12,9 +12,10 @@
  *                       binary output is mapped back and verified
  *                       against a regenerated prefix)
  *   convert formats:    trace_tools conv <in> <out>
- *                       (.din = Dinero ASCII, .mlcz = compressed
- *                       binary, anything else = MLCT binary;
- *                       direction inferred per file)
+ *                       (.din or .din.txt = Dinero ASCII, .mlcz =
+ *                       compressed binary, anything else = MLCT
+ *                       binary; trace::formatOf decides each
+ *                       file's format from its name)
  *   analyze a trace:    trace_tools stat <in>
  *                       (reference mix, footprint, LRU stack-
  *                       distance profile, implied miss ratios)
@@ -53,6 +54,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -74,8 +76,10 @@
 #include "trace/compressed.hh"
 #include "trace/dinero.hh"
 #include "trace/interleave.hh"
+#include "trace/source.hh"
 #include "trace/stack_distance.hh"
 #include "trace/synthetic_source.hh"
+#include "util/logging.hh"
 #include "util/str.hh"
 #include "util/table.hh"
 #include "util/units.hh"
@@ -85,34 +89,93 @@ using namespace mlc::trace;
 
 namespace {
 
-bool
-isDinero(const std::string &path)
+/**
+ * Write up to @p limit references of @p src to @p path in the
+ * format its name names (Dinero records carry the pid); exits 1
+ * when the file cannot be created.
+ * @return the number of references written.
+ */
+std::uint64_t
+writeTrace(const std::string &path, TraceSource &src,
+           std::uint64_t limit = std::numeric_limits<std::uint64_t>::max())
 {
-    return endsWith(path, ".din") || endsWith(path, ".din.txt");
-}
-
-bool
-isCompressed(const std::string &path)
-{
-    return endsWith(path, ".mlcz");
-}
-
-std::unique_ptr<TraceSource>
-openTrace(const std::string &path, std::ifstream &file)
-{
-    file.open(path, isDinero(path) ? std::ios::in
-                                   : std::ios::in |
-                                         std::ios::binary);
-    if (!file) {
-        std::cerr << "cannot open " << path << "\n";
+    const TraceFormat format = formatOf(path);
+    std::ofstream out(path, format == TraceFormat::Dinero
+                                ? std::ios::out
+                                : std::ios::out | std::ios::binary);
+    if (!out) {
+        std::cerr << "cannot create " << path << "\n";
         std::exit(1);
     }
-    if (isDinero(path))
-        return std::make_unique<DineroReader>(file);
-    if (isCompressed(path))
-        return std::make_unique<CompressedReader>(file);
-    return std::make_unique<BinaryReader>(file);
+    // Batched: the stream never has to fit in memory, and MLCT
+    // binary takes one stream write per batch.
+    const auto pump = [&](auto &&writer) {
+        std::vector<MemRef> batch(1u << 16);
+        std::uint64_t n = 0;
+        while (n < limit) {
+            const std::size_t want = static_cast<std::size_t>(
+                std::min<std::uint64_t>(batch.size(), limit - n));
+            const std::size_t got = src.nextBatch(batch.data(), want);
+            if (got == 0)
+                break;
+            if constexpr (requires { writer.putSpan(RefSpan{}); })
+                writer.putSpan({batch.data(), got});
+            else
+                for (std::size_t i = 0; i < got; ++i)
+                    writer.put(batch[i]);
+            n += got;
+        }
+        if constexpr (requires { writer.finish(); })
+            writer.finish();
+        return n;
+    };
+    switch (format) {
+      case TraceFormat::Dinero:
+        return pump(DineroWriter(out, true));
+      case TraceFormat::Compressed:
+        return pump(CompressedWriter(out));
+      case TraceFormat::Binary:
+        break;
+    }
+    return pump(BinaryWriter(out));
 }
+
+/** A whole-string unsigned number, or a fatal "bad <name> value"
+ *  before any work. */
+std::uint64_t
+unsignedArg(const std::string &name, const std::string &text)
+{
+    unsigned long long v = 0;
+    if (!parseUnsigned(text, v))
+        mlc_fatal("bad ", name, " value '", text, "'");
+    return v;
+}
+
+/** The finite-double twin of unsignedArg(). */
+double
+doubleArg(const std::string &name, const std::string &text)
+{
+    double v = 0.0;
+    if (!parseDouble(text, v) || !std::isfinite(v))
+        mlc_fatal("bad ", name, " value '", text, "'");
+    return v;
+}
+
+/** @{ @name "--name=value" flags through the parsers above */
+std::uint64_t
+unsignedFlag(const std::string &arg)
+{
+    const std::size_t eq = arg.find('=');
+    return unsignedArg(arg.substr(0, eq), arg.substr(eq + 1));
+}
+
+double
+doubleFlag(const std::string &arg)
+{
+    const std::size_t eq = arg.find('=');
+    return doubleArg(arg.substr(0, eq), arg.substr(eq + 1));
+}
+/** @} */
 
 int
 cmdGenerate(int argc, char **argv)
@@ -123,34 +186,12 @@ cmdGenerate(int argc, char **argv)
     }
     const std::string path = argv[2];
     const std::uint64_t refs =
-        argc > 3 ? std::strtoull(argv[3], nullptr, 0) : 1'000'000;
+        argc > 3 ? unsignedArg("refs", argv[3]) : 1'000'000;
     const std::size_t procs =
-        argc > 4 ? std::strtoull(argv[4], nullptr, 0) : 6;
+        argc > 4 ? unsignedArg("procs", argv[4]) : 6;
 
     auto src = makeMultiprogrammedWorkload(procs, 12000, 0);
-    std::ofstream out(path, isDinero(path)
-                                ? std::ios::out
-                                : std::ios::out | std::ios::binary);
-    if (!out) {
-        std::cerr << "cannot create " << path << "\n";
-        return 1;
-    }
-    MemRef ref;
-    if (isDinero(path)) {
-        DineroWriter writer(out, true);
-        for (std::uint64_t i = 0; i < refs && src->next(ref); ++i)
-            writer.put(ref);
-    } else if (isCompressed(path)) {
-        CompressedWriter writer(out);
-        for (std::uint64_t i = 0; i < refs && src->next(ref); ++i)
-            writer.put(ref);
-        writer.finish();
-    } else {
-        BinaryWriter writer(out);
-        for (std::uint64_t i = 0; i < refs && src->next(ref); ++i)
-            writer.put(ref);
-        writer.finish();
-    }
+    writeTrace(path, *src, refs);
     std::cout << "wrote " << refs << " refs to " << path << "\n";
     return 0;
 }
@@ -165,11 +206,11 @@ cmdSynth(int argc, char **argv)
     }
     const std::string path = argv[2];
     const std::uint64_t refs =
-        argc > 3 ? std::strtoull(argv[3], nullptr, 0) : 4'000'000;
+        argc > 3 ? unsignedArg("refs", argv[3]) : 4'000'000;
     const std::size_t procs =
-        argc > 4 ? std::strtoull(argv[4], nullptr, 0) : 4;
+        argc > 4 ? unsignedArg("procs", argv[4]) : 4;
     const std::uint64_t seed =
-        argc > 5 ? std::strtoull(argv[5], nullptr, 0) : 7;
+        argc > 5 ? unsignedArg("seed", argv[5]) : 7;
 
     SyntheticTraceParams params;
     params.totalRefs = refs;
@@ -177,59 +218,8 @@ cmdSynth(int argc, char **argv)
     params.switchInterval = 8'000;
     params.profile = StackDepthProfile::pareto(0.60, 4.0, 1u << 14);
 
-    std::ofstream out(path, isDinero(path)
-                                ? std::ios::out
-                                : std::ios::out | std::ios::binary);
-    if (!out) {
-        std::cerr << "cannot create " << path << "\n";
-        return 1;
-    }
-
-    // Generate in batches: the stream never has to fit in memory,
-    // and the batched API is the one the benches exercise.
-    constexpr std::size_t kBatch = 1u << 20;
-    std::vector<MemRef> batch(kBatch);
-    // The prefix retained for the round-trip check below.
-    const std::size_t check = static_cast<std::size_t>(
-        std::min<std::uint64_t>(refs, 65'536));
-    std::vector<MemRef> head;
-    head.reserve(check);
-
     SyntheticTraceSource src(params, seed);
-    const auto pump = [&](auto &writer) {
-        std::uint64_t total = 0;
-        for (;;) {
-            const std::size_t got =
-                src.nextBatch(batch.data(), batch.size());
-            if (got == 0)
-                break;
-            for (std::size_t i = 0;
-                 i < got && head.size() < check; ++i)
-                head.push_back(batch[i]);
-            if constexpr (requires { writer.putSpan(RefSpan{}); })
-                writer.putSpan({batch.data(), got});
-            else
-                for (std::size_t i = 0; i < got; ++i)
-                    writer.put(batch[i]);
-            total += got;
-        }
-        return total;
-    };
-
-    std::uint64_t n = 0;
-    if (isDinero(path)) {
-        DineroWriter writer(out, true);
-        n = pump(writer);
-    } else if (isCompressed(path)) {
-        CompressedWriter writer(out);
-        n = pump(writer);
-        writer.finish();
-    } else {
-        BinaryWriter writer(out);
-        n = pump(writer);
-        writer.finish();
-    }
-    out.close();
+    const std::uint64_t n = writeTrace(path, src);
     std::cout << "wrote " << n << " refs to " << path << " (seed "
               << seed << ", " << procs << " procs, bounded-Pareto "
               << "profile)\n";
@@ -237,7 +227,9 @@ cmdSynth(int argc, char **argv)
     // Round-trip: map the file back and verify it replays the
     // stream we just generated. Plain MLCT binary only — that is
     // the format the zero-copy replay path consumes.
-    if (!isDinero(path) && !isCompressed(path)) {
+    if (isMappable(path)) {
+        SyntheticTraceSource again(params, seed);
+        const std::vector<MemRef> head = collect(again, 65'536);
         MappedBinaryTrace mapped(path);
         if (mapped.span().size != n) {
             std::cerr << "round-trip FAILED: mapped "
@@ -265,40 +257,8 @@ cmdConvert(int argc, char **argv)
         std::cerr << "usage: trace_tools conv <in> <out>\n";
         return 1;
     }
-    std::ifstream in_file;
-    auto src = openTrace(argv[2], in_file);
-    const std::string out_path = argv[3];
-    std::ofstream out(out_path,
-                      isDinero(out_path)
-                          ? std::ios::out
-                          : std::ios::out | std::ios::binary);
-    if (!out) {
-        std::cerr << "cannot create " << out_path << "\n";
-        return 1;
-    }
-    std::uint64_t n = 0;
-    MemRef ref;
-    if (isDinero(out_path)) {
-        DineroWriter writer(out, true);
-        while (src->next(ref)) {
-            writer.put(ref);
-            ++n;
-        }
-    } else if (isCompressed(out_path)) {
-        CompressedWriter writer(out);
-        while (src->next(ref)) {
-            writer.put(ref);
-            ++n;
-        }
-        writer.finish();
-    } else {
-        BinaryWriter writer(out);
-        while (src->next(ref)) {
-            writer.put(ref);
-            ++n;
-        }
-        writer.finish();
-    }
+    auto src = openTraceFile(argv[2]);
+    const std::uint64_t n = writeTrace(argv[3], *src);
     std::cout << "converted " << n << " refs\n";
     return 0;
 }
@@ -310,8 +270,7 @@ cmdStat(int argc, char **argv)
         std::cerr << "usage: trace_tools stat <in>\n";
         return 1;
     }
-    std::ifstream in_file;
-    auto src = openTrace(argv[2], in_file);
+    auto src = openTraceFile(argv[2]);
 
     RefCounts counts;
     StackDistanceAnalyzer distances(16);
@@ -368,7 +327,7 @@ cmdWarm(int argc, char **argv)
     const std::string path = argv[2];
     std::uint64_t l2_size = 0;
     if (argc > 3) {
-        l2_size = std::strtoull(argv[3], nullptr, 0);
+        l2_size = unsignedArg("l2_size", argv[3]);
     } else {
         // Default to the largest candidate the server will ever be
         // asked about: a warm length derived for the deepest
@@ -377,8 +336,7 @@ cmdWarm(int argc, char **argv)
             l2_size = std::max(l2_size, s);
     }
 
-    std::ifstream in_file;
-    auto src = openTrace(path, in_file);
+    auto src = openTraceFile(path);
     // Pre-materialize the entire stream — this is the cold-load
     // cost the sidecar lets the server skip re-measuring.
     const std::vector<MemRef> refs = collect(
@@ -427,7 +385,7 @@ cmdMrc(int argc, char **argv)
         return 1;
     }
     const std::string path = argv[2];
-    if (isDinero(path) || isCompressed(path)) {
+    if (!isMappable(path)) {
         std::cerr << "mrc: streams MLCT binary traces only (got "
                   << path << "); use 'conv' first\n";
         return 1;
@@ -440,8 +398,7 @@ cmdMrc(int argc, char **argv)
     for (int i = 3; i < argc; ++i) {
         const std::string arg = argv[i];
         if (startsWith(arg, "--rate=")) {
-            opts.sampler.rate =
-                std::strtod(arg.c_str() + 7, nullptr);
+            opts.sampler.rate = doubleFlag(arg);
             if (!(opts.sampler.rate > 0.0) ||
                 opts.sampler.rate > 1.0) {
                 std::cerr << "mrc: bad --rate value (expected a "
@@ -449,14 +406,12 @@ cmdMrc(int argc, char **argv)
                 return 1;
             }
         } else if (startsWith(arg, "--budget=")) {
-            opts.sampler.budget =
-                std::strtoull(arg.c_str() + 9, nullptr, 0);
+            opts.sampler.budget = unsignedFlag(arg);
         } else if (startsWith(arg, "--warmup=")) {
-            warmup = std::strtoull(arg.c_str() + 9, nullptr, 0);
+            warmup = unsignedFlag(arg);
             warmup_given = true;
         } else if (startsWith(arg, "--chunk=")) {
-            opts.streamChunkRefs =
-                std::strtoull(arg.c_str() + 8, nullptr, 0);
+            opts.streamChunkRefs = unsignedFlag(arg);
         } else if (arg == "--fa") {
             opts.faBound = true;
         } else if (startsWith(arg, "--sizes=")) {
@@ -538,21 +493,6 @@ cmdMrc(int argc, char **argv)
     return 0;
 }
 
-/** File stem ("/a/b/t0.mlct" -> "t0") — must match the query
- *  server's workload tag for file-backed traces, so farms built
- *  here are the farms mlc_serve finds. */
-std::string
-fileStem(const std::string &path)
-{
-    const std::size_t slash = path.find_last_of('/');
-    std::string name =
-        slash == std::string::npos ? path : path.substr(slash + 1);
-    const std::size_t dot = name.find_last_of('.');
-    if (dot != std::string::npos && dot > 0)
-        name = name.substr(0, dot);
-    return name;
-}
-
 void
 printFarmEntry(const ckpt::FarmEntry &e)
 {
@@ -632,11 +572,9 @@ cmdCkpt(int argc, char **argv)
         for (int i = 4; i < argc; ++i) {
             const std::string arg = argv[i];
             if (startsWith(arg, "--max-bytes=")) {
-                gopts.maxBytes =
-                    std::strtoull(arg.c_str() + 12, nullptr, 0);
+                gopts.maxBytes = unsignedFlag(arg);
             } else if (startsWith(arg, "--max-age-days=")) {
-                gopts.maxAgeDays =
-                    std::strtod(arg.c_str() + 15, nullptr);
+                gopts.maxAgeDays = doubleFlag(arg);
                 if (gopts.maxAgeDays <= 0.0) {
                     std::cerr << "ckpt gc: bad --max-age-days "
                                  "value: "
@@ -676,7 +614,7 @@ cmdCkpt(int argc, char **argv)
     for (int i = 5; i < argc; ++i) {
         const std::string arg = argv[i];
         if (startsWith(arg, "--seed=")) {
-            seed = std::strtoull(arg.c_str() + 7, nullptr, 0);
+            seed = unsignedFlag(arg);
         } else if (startsWith(arg, "--id=")) {
             trace_id = arg.substr(5);
         } else if (startsWith(arg, "--sizes=")) {
@@ -708,8 +646,7 @@ cmdCkpt(int argc, char **argv)
     if (sizes.empty())
         sizes = expt::paperSizes();
 
-    std::ifstream in_file;
-    auto src = openTrace(trace_path, in_file);
+    auto src = openTraceFile(trace_path);
     const std::vector<MemRef> refs = collect(
         *src, std::numeric_limits<std::uint64_t>::max());
     if (refs.empty()) {

@@ -8,41 +8,17 @@
 namespace mlc {
 namespace hier {
 
-namespace {
-
-/** Seed offsets so each component's Random policy decorrelates. */
-constexpr std::uint64_t kCacheSeedBase = 0x1234abcdULL;
-
-HierarchyParams
-finalized(HierarchyParams p)
-{
-    p.finalize();
-    return p;
-}
-
-} // namespace
-
 HierarchySimulator::HierarchySimulator(HierarchyParams params)
-    : params_(finalized(std::move(params))),
-      cpuCycle_(nsToTicks(params_.cpuCycleNs)),
+    : params_(params.finalized()),
+      cpuCycle_(nsToTicks(params_.cpuCycleNs)), front_(params_),
       memory_(params_.memory)
 {
-
-    if (params_.splitL1) {
-        l1i_ = std::make_unique<cache::Cache>(params_.l1i,
-                                              kCacheSeedBase);
-        l1iCycle_ = nsToTicks(params_.l1i.cycleNs);
-    }
-    l1d_ = std::make_unique<cache::Cache>(params_.l1d,
-                                          kCacheSeedBase + 1);
-    l1dCycle_ = nsToTicks(params_.l1d.cycleNs);
-
     for (std::size_t i = 0; i < params_.levels.size(); ++i) {
         levels_.push_back(std::make_unique<cache::Cache>(
-            params_.levels[i], kCacheSeedBase + 2 + i));
+            params_.levels[i], levelSeed(i)));
         if (params_.measureSolo)
             solo_.push_back(std::make_unique<cache::Cache>(
-                params_.levels[i], kCacheSeedBase + 100 + i));
+                params_.levels[i], soloSeed(i)));
     }
 
     // Bus i feeds levels_[i] and cycles at that level's rate; the
@@ -71,24 +47,22 @@ HierarchySimulator::HierarchySimulator(HierarchyParams params)
     victimOutcomes_.resize(levels_.size());
 
     cpuCycleDiv_ = FixedDivisor(cpuCycle_);
-    if (params_.splitL1)
-        l1iReadExtra_ = (params_.l1i.readCycles - 1) * l1iCycle_;
-    l1dReadExtra_ = (params_.l1d.readCycles - 1) * l1dCycle_;
-    l1dWriteExtra_ = (params_.l1d.writeCycles - 1) * l1dCycle_;
+    const cache::CacheParams &iside =
+        params_.splitL1 ? params_.l1i : params_.l1d;
+    l1iReadExtra_ =
+        (iside.readCycles - 1) * nsToTicks(iside.cycleNs);
+    l1iFillBytes_ = iside.fillRequestBytes();
+    const Tick l1d_cycle = nsToTicks(params_.l1d.cycleNs);
+    l1dReadExtra_ = (params_.l1d.readCycles - 1) * l1d_cycle;
+    l1dWriteExtra_ = (params_.l1d.writeCycles - 1) * l1d_cycle;
+    l1dFillBytes_ = params_.l1d.fillRequestBytes();
     for (std::size_t i = 0; i < params_.levels.size(); ++i) {
         const Tick cycle = nsToTicks(params_.levels[i].cycleNs);
-        levelCycleTicks_.push_back(cycle);
         levelTagCheckTicks_.push_back(
             params_.levels[i].readCycles * cycle);
         levelWriteTicks_.push_back(
             params_.levels[i].writeCycles * cycle);
     }
-}
-
-Tick
-HierarchySimulator::cacheCycleTicks(std::size_t i) const
-{
-    return levelCycleTicks_[i];
 }
 
 Tick
@@ -274,28 +248,17 @@ HierarchySimulator::soloReplay(const trace::MemRef &ref)
 }
 
 void
-HierarchySimulator::handleRefSlow(const trace::MemRef &ref,
-                                  bool timed, cache::Cache *l1,
-                                  Tick l1_cycle)
+HierarchySimulator::handleMiss(const trace::MemRef &ref,
+                               const cache::AccessOutcome &outcome,
+                               bool timed)
 {
-    l1->access(ref, l1Outcome_);
-    const std::uint64_t l1_block = l1->params().fillRequestBytes();
-
     if (ref.isRead()) {
-        if (l1Outcome_.hit) {
-            if (timed) {
-                const Tick extra =
-                    (l1->params().readCycles - 1) * l1_cycle;
-                now_ += extra;
-                readStallCacheTicks_ += extra;
-            }
-            return;
-        }
         ++l1ReadMissCount_;
         const Tick miss_start = now_;
         const std::uint64_t mem_reads_before = memReads_;
-        const Tick ready = fillFromBelow(0, l1Outcome_, l1_block,
-                                         now_, true, timed);
+        const Tick ready = fillFromBelow(
+            0, outcome, ref.isInst() ? l1iFillBytes_ : l1dFillBytes_,
+            now_, true, timed);
         if (timed) {
             l1ReadMissStallTicks_ += ready - miss_start;
             missPenaltyHist_.sample(
@@ -313,22 +276,12 @@ HierarchySimulator::handleRefSlow(const trace::MemRef &ref,
         return;
     }
 
-    // Store.
-    const Tick write_extra =
-        (l1->params().writeCycles - 1) * l1_cycle;
-    if (l1Outcome_.hit && !l1Outcome_.forwardWrite) {
-        if (timed) {
-            now_ += write_extra;
-            storeWriteHitTicks_ += write_extra;
-        }
-        return;
-    }
-
+    // A store leaving L1: fills and victims, then a forwarded store.
     Tick ready = now_;
-    if (!l1Outcome_.fills.empty() || !l1Outcome_.writebacks.empty())
-        ready = fillFromBelow(0, l1Outcome_, l1_block, now_, false,
+    if (!outcome.fills.empty() || !outcome.writebacks.empty())
+        ready = fillFromBelow(0, outcome, l1dFillBytes_, now_, false,
                               timed);
-    if (l1Outcome_.forwardWrite) {
+    if (outcome.forwardWrite) {
         const Addr word_base = ref.addr & ~Addr{3};
         const Tick proceed = queueDownstreamWrite(
             0, word_base, ref.size, ready, timed);
@@ -336,53 +289,16 @@ HierarchySimulator::handleRefSlow(const trace::MemRef &ref,
     }
     if (timed) {
         const Tick before = now_;
-        now_ = cpuCycleDiv_.roundUp(ready) + write_extra;
-        storeStallTicks_ += now_ - before - write_extra;
-        storeWriteHitTicks_ += write_extra;
+        now_ = cpuCycleDiv_.roundUp(ready) + l1dWriteExtra_;
+        storeStallTicks_ += now_ - before - l1dWriteExtra_;
+        storeWriteHitTicks_ += l1dWriteExtra_;
     }
 }
 
+template <bool Timed>
 std::uint64_t
-HierarchySimulator::warmUp(trace::TraceSource &source,
-                           std::uint64_t refs)
-{
-    trace::MemRef buf[kReplayBatch];
-    std::uint64_t n = 0;
-    while (n < refs) {
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(kReplayBatch, refs - n));
-        const std::size_t got = source.nextBatch(buf, want);
-        if (got == 0)
-            break;
-        for (std::size_t i = 0; i < got; ++i)
-            handleRef(buf[i], false);
-        n += got;
-    }
-    resetAllCounts();
-    return n;
-}
-
-std::uint64_t
-HierarchySimulator::warmUp(trace::RefSpan refs)
-{
-    for (const trace::MemRef &ref : refs)
-        handleRef(ref, false);
-    resetAllCounts();
-    return refs.size;
-}
-
-std::uint64_t
-HierarchySimulator::runFunctional(trace::RefSpan refs)
-{
-    for (const trace::MemRef &ref : refs)
-        handleRef(ref, false);
-    refsRun_ += refs.size;
-    return refs.size;
-}
-
-std::uint64_t
-HierarchySimulator::run(trace::TraceSource &source,
-                        std::uint64_t max_refs)
+HierarchySimulator::replay(trace::TraceSource &source,
+                           std::uint64_t max_refs)
 {
     trace::MemRef buf[kReplayBatch];
     std::uint64_t n = 0;
@@ -393,9 +309,50 @@ HierarchySimulator::run(trace::TraceSource &source,
         if (got == 0)
             break;
         for (std::size_t i = 0; i < got; ++i)
-            handleRef(buf[i], true);
+            handleRef(buf[i], Timed);
         n += got;
     }
+    return n;
+}
+
+template <bool Timed>
+void
+HierarchySimulator::replay(trace::RefSpan refs)
+{
+    for (const trace::MemRef &ref : refs)
+        handleRef(ref, Timed);
+}
+
+std::uint64_t
+HierarchySimulator::warmUp(trace::TraceSource &source,
+                           std::uint64_t refs)
+{
+    const std::uint64_t n = replay<false>(source, refs);
+    resetAllCounts();
+    return n;
+}
+
+std::uint64_t
+HierarchySimulator::warmUp(trace::RefSpan refs)
+{
+    replay<false>(refs);
+    resetAllCounts();
+    return refs.size;
+}
+
+std::uint64_t
+HierarchySimulator::runFunctional(trace::RefSpan refs)
+{
+    replay<false>(refs);
+    refsRun_ += refs.size;
+    return refs.size;
+}
+
+std::uint64_t
+HierarchySimulator::run(trace::TraceSource &source,
+                        std::uint64_t max_refs)
+{
+    const std::uint64_t n = replay<true>(source, max_refs);
     refsRun_ += n;
     return n;
 }
@@ -403,8 +360,7 @@ HierarchySimulator::run(trace::TraceSource &source,
 std::uint64_t
 HierarchySimulator::run(trace::RefSpan refs)
 {
-    for (const trace::MemRef &ref : refs)
-        handleRef(ref, true);
+    replay<true>(refs);
     refsRun_ += refs.size;
     return refs.size;
 }
@@ -412,10 +368,7 @@ HierarchySimulator::run(trace::RefSpan refs)
 void
 HierarchySimulator::resetAllCounts()
 {
-    instructions_ = 0;
-    ifetches_ = 0;
-    loads_ = 0;
-    stores_ = 0;
+    front_.resetCounts();
     refsRun_ = 0;
     std::fill(readReqs_.begin(), readReqs_.end(), 0);
     std::fill(readMisses_.begin(), readMisses_.end(), 0);
@@ -430,9 +383,6 @@ HierarchySimulator::resetAllCounts()
     readStallMemoryTicks_ = 0;
     storeStallTicks_ = 0;
 
-    if (l1i_)
-        l1i_->resetCounts();
-    l1d_->resetCounts();
     for (auto &level : levels_)
         level->resetCounts();
     for (auto &solo : solo_)
@@ -453,16 +403,16 @@ HierarchySimulator::captureWarmState(SnapshotArena &arena,
                   "and cannot be rebuilt from boundary traffic");
     snap.splitL1 = params_.splitL1;
     snap.prefixLevels = prefix_levels;
-    if (l1i_)
-        l1i_->captureState(arena, snap.l1i);
-    l1d_->captureState(arena, snap.l1d);
+    if (front_.l1i_)
+        front_.l1i_->captureState(arena, snap.l1i);
+    front_.l1d_->captureState(arena, snap.l1d);
     snap.levels.resize(prefix_levels);
     for (std::size_t i = 0; i < prefix_levels; ++i)
         levels_[i]->captureState(arena, snap.levels[i]);
-    snap.instructions = instructions_;
-    snap.ifetches = ifetches_;
-    snap.loads = loads_;
-    snap.stores = stores_;
+    snap.instructions = front_.instructions_;
+    snap.ifetches = front_.ifetches_;
+    snap.loads = front_.loads_;
+    snap.stores = front_.stores_;
     snap.refsRun = refsRun_;
     snap.l1ReadMissCount = l1ReadMissCount_;
     snap.readReqs.assign(readReqs_.begin(),
@@ -491,15 +441,15 @@ HierarchySimulator::restoreWarmState(const SnapshotArena &arena,
     if (!solo_.empty())
         mlc_panic("restoreWarmState with solo co-simulation "
                   "active");
-    if (l1i_)
-        l1i_->restoreState(arena, snap.l1i);
-    l1d_->restoreState(arena, snap.l1d);
+    if (front_.l1i_)
+        front_.l1i_->restoreState(arena, snap.l1i);
+    front_.l1d_->restoreState(arena, snap.l1d);
     for (std::size_t i = 0; i < snap.prefixLevels; ++i)
         levels_[i]->restoreState(arena, snap.levels[i]);
-    instructions_ = snap.instructions;
-    ifetches_ = snap.ifetches;
-    loads_ = snap.loads;
-    stores_ = snap.stores;
+    front_.instructions_ = snap.instructions;
+    front_.ifetches_ = snap.ifetches;
+    front_.loads_ = snap.loads;
+    front_.stores_ = snap.stores;
     refsRun_ = snap.refsRun;
     l1ReadMissCount_ = snap.l1ReadMissCount;
     for (std::size_t i = 0; i < snap.prefixLevels; ++i) {
@@ -556,21 +506,20 @@ SimResults
 HierarchySimulator::results() const
 {
     SimResults r;
-    r.instructions = instructions_;
-    r.cpuReads = ifetches_ + loads_;
-    r.cpuWrites = stores_;
-    r.references = ifetches_ + loads_ + stores_;
+    r.instructions = front_.instructions();
+    r.cpuReads = front_.ifetches() + front_.loads();
+    r.cpuWrites = front_.stores();
+    r.references = r.cpuReads + r.cpuWrites;
 
     r.totalCycles = divCeil(now_, cpuCycle_);
-    const Tick ideal_ticks =
-        instructions_ * cpuCycle_ +
-        stores_ * (l1d_->params().writeCycles - 1) * l1dCycle_;
+    const Tick ideal_ticks = r.instructions * cpuCycle_ +
+                             r.cpuWrites * l1dWriteExtra_;
     r.idealCycles = divCeil(ideal_ticks, cpuCycle_);
 
-    r.cpi = instructions_ == 0
+    r.cpi = r.instructions == 0
                 ? 0.0
                 : static_cast<double>(r.totalCycles) /
-                      static_cast<double>(instructions_);
+                      static_cast<double>(r.instructions);
     r.relativeExecTime =
         r.idealCycles == 0
             ? 0.0
@@ -582,12 +531,10 @@ HierarchySimulator::results() const
     // Combined first level.
     LevelResults l1;
     l1.name = params_.splitL1 ? "l1" : "l1 (unified)";
-    l1.readRequests = l1d_->counts().readAccesses() +
-                      (l1i_ ? l1i_->counts().readAccesses() : 0);
-    l1.readMisses = l1d_->counts().readMisses() +
-                    (l1i_ ? l1i_->counts().readMisses() : 0);
-    l1.writebacks = l1d_->counts().writebacks +
-                    (l1i_ ? l1i_->counts().writebacks : 0);
+    l1.readRequests = front_.readRequests();
+    l1.readMisses = front_.readMisses();
+    l1.writebacks = front_.l1d_->counts().writebacks +
+                    (front_.l1i_ ? front_.l1i_->counts().writebacks : 0);
     l1.localMissRatio =
         l1.readRequests == 0
             ? 0.0
@@ -600,7 +547,8 @@ HierarchySimulator::results() const
     r.levels.push_back(l1);
 
     if (params_.splitL1) {
-        for (const cache::Cache *c : {l1i_.get(), l1d_.get()}) {
+        for (const cache::Cache *c :
+             {front_.l1i_.get(), front_.l1d_.get()}) {
             LevelResults d;
             d.name = c->params().name;
             d.readRequests = c->counts().readAccesses();

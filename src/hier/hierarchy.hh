@@ -106,6 +106,128 @@ struct WarmSnapshot
     /** @} */
 };
 
+/**
+ * The L1 front end: the split (or unified) first level, replayed
+ * functionally one CPU reference at a time. What leaves it (fills,
+ * dirty victims, forwarded stores) depends only on the L1
+ * configuration and the trace: functional state never depends on
+ * timing, and the write-around levels below never feed back
+ * upstream. So one replay serves every engine: HierarchySimulator
+ * steps it and adds the cycles; onepass::L1Filter steps it and
+ * turns what leaves it into ghost-sweep events.
+ */
+class L1Front
+{
+  public:
+    /** What one reference did at L1. */
+    enum class Step : std::uint8_t
+    {
+        ReadHit,   //!< a read L1 served
+        StoreHit,  //!< a store L1 absorbed; nothing goes down
+        ReadMiss,  //!< outcome() holds the fills and victims
+        StoreDown, //!< outcome() holds fills, victims, forwardWrite
+    };
+
+    /** @param params must be finalized; only its L1s are read. */
+    explicit L1Front(const HierarchyParams &params)
+    {
+        if (params.splitL1)
+            l1i_ = std::make_unique<cache::Cache>(params.l1i, kL1iSeed);
+        l1d_ = std::make_unique<cache::Cache>(params.l1d, kL1dSeed);
+    }
+
+    /**
+     * Replay one CPU reference: count it in the reference mix and
+     * apply it to the L1 that serves it. An L1 hit (the ~95% case at
+     * the paper's base miss ratios) is one inline SoA probe plus a
+     * recency touch; the rest goes through cache::Cache::access().
+     * Both paths update the caches identically (golden-tested).
+     */
+    Step
+    step(const trace::MemRef &ref)
+    {
+        cache::Cache *l1 = l1d_.get();
+        if (ref.isInst()) {
+            ++instructions_;
+            ++ifetches_;
+            if (l1i_)
+                l1 = l1i_.get();
+        } else if (ref.type == trace::RefType::Load) {
+            ++loads_;
+        } else {
+            ++stores_;
+        }
+
+        if (ref.isRead()) {
+            if (fastPath_ && l1->tryReadHit(ref))
+                return Step::ReadHit;
+            l1->access(ref, outcome_);
+            return outcome_.hit ? Step::ReadHit : Step::ReadMiss;
+        }
+        // A write-back store hit completes locally (stores always
+        // address the D-side); a write-through hit still forwards.
+        if (fastPath_ && l1->tryStoreHit(ref))
+            return Step::StoreHit;
+        l1->access(ref, outcome_);
+        return outcome_.hit && !outcome_.forwardWrite ? Step::StoreHit
+                                                      : Step::StoreDown;
+    }
+
+    /** What the last ReadMiss or StoreDown step sends downstream,
+     *  demand fill first. */
+    const cache::AccessOutcome &outcome() const { return outcome_; }
+
+    /** Disable/re-enable the inline hit fast paths. They are
+     *  bit-exact, so only tests and benches turn them off. */
+    void setFastPath(bool enabled) { fastPath_ = enabled; }
+
+    /** Zero every counter, keeping tag state (post-warm-up). */
+    void
+    resetCounts()
+    {
+        instructions_ = ifetches_ = loads_ = stores_ = 0;
+        if (l1i_)
+            l1i_->resetCounts();
+        l1d_->resetCounts();
+    }
+
+    /** @{ @name Reference mix since the last reset */
+    std::uint64_t instructions() const { return instructions_; }
+    std::uint64_t ifetches() const { return ifetches_; }
+    std::uint64_t loads() const { return loads_; }
+    std::uint64_t stores() const { return stores_; }
+    /** @} */
+
+    /** @{ @name L1 read traffic, split I+D summed */
+    std::uint64_t
+    readRequests() const
+    {
+        return l1d_->counts().readAccesses() +
+               (l1i_ ? l1i_->counts().readAccesses() : 0);
+    }
+    std::uint64_t
+    readMisses() const
+    {
+        return l1d_->counts().readMisses() +
+               (l1i_ ? l1i_->counts().readMisses() : 0);
+    }
+    /** @} */
+
+  private:
+    /** Checkpoints this state (WarmSnapshot) and reports per side. */
+    friend class HierarchySimulator;
+
+    std::unique_ptr<cache::Cache> l1i_; //!< null if unified
+    std::unique_ptr<cache::Cache> l1d_; //!< the unified L1 if !split
+    cache::AccessOutcome outcome_;
+    bool fastPath_ = true;
+
+    std::uint64_t instructions_ = 0;
+    std::uint64_t ifetches_ = 0;
+    std::uint64_t loads_ = 0;
+    std::uint64_t stores_ = 0;
+};
+
 /** Trace-driven, cycle-accounting hierarchy simulator. */
 class HierarchySimulator
 {
@@ -156,15 +278,9 @@ class HierarchySimulator
      */
     std::uint64_t runFunctional(trace::RefSpan refs);
 
-    /**
-     * Disable/re-enable the inline L1 read-hit fast path.
-     *
-     * The fast path is bit-exact (enforced by the batched-vs-scalar
-     * golden tests), so this toggle exists only so benches can
-     * measure the generic path against it; simulation results do
-     * not depend on the setting.
-     */
-    void setReadHitFastPath(bool enabled) { fastHit_ = enabled; }
+    /** Disable/re-enable the L1 front's hit fast paths; results
+     *  do not depend on it (L1Front::setFastPath). */
+    void setReadHitFastPath(bool enabled) { front_.setFastPath(enabled); }
 
     /** Measurements over everything run() has simulated. */
     SimResults results() const;
@@ -212,8 +328,6 @@ class HierarchySimulator
 
     /** @{ @name Component access (tests, stats reporting) */
     const HierarchyParams &params() const { return params_; }
-    const cache::Cache &l1i() const { return *l1i_; }
-    const cache::Cache &l1d() const { return *l1d_; }
     std::size_t levelCount() const { return levels_.size(); }
     const cache::Cache &level(std::size_t i) const
     {
@@ -224,7 +338,7 @@ class HierarchySimulator
         return *wb_[i];
     }
     Tick now() const { return now_; }
-    std::uint64_t instructionCount() const { return instructions_; }
+    std::uint64_t instructionCount() const { return front_.instructions(); }
     Tick cpuCycleTicks() const { return cpuCycle_; }
     std::uint64_t memoryReads() const { return memReads_; }
     std::uint64_t memoryWrites() const { return memWrites_; }
@@ -242,18 +356,27 @@ class HierarchySimulator
     /**
      * Apply one CPU reference; advances now_ when timed.
      *
-     * Defined inline below the class: the counter updates and the
-     * L1 hit fast paths then inline straight into the replay loops,
-     * so the ~90% of references that hit in L1 never leave the
-     * loop body. Misses and policy corner cases fall through to the
-     * out-of-line handleRefSlow().
+     * Defined inline below the class: the front's hit fast paths
+     * and the hit cycles then inline straight into the replay
+     * loops, so the ~90% of references that hit in L1 never leave
+     * the loop body.
      */
     void handleRef(const trace::MemRef &ref, bool timed);
 
-    /** Everything past the L1 fast paths (miss machinery, stores
-     *  that leave L1, timing of both). */
-    void handleRefSlow(const trace::MemRef &ref, bool timed,
-                       cache::Cache *l1, Tick l1_cycle);
+    /**
+     * A reference the front reported as ReadMiss or StoreDown:
+     * send @p outcome's fills, victims and forwarded store below
+     * L1 and, when timed, charge the stall.
+     */
+    void handleMiss(const trace::MemRef &ref,
+                    const cache::AccessOutcome &outcome, bool timed);
+
+    /** The replay loops every public entry point shares. */
+    template <bool Timed>
+    std::uint64_t replay(trace::TraceSource &source,
+                         std::uint64_t max_refs);
+    template <bool Timed>
+    void replay(trace::RefSpan refs);
 
     /** Feed the solo co-simulation arrays (out of the hot path). */
     void soloReplay(const trace::MemRef &ref);
@@ -283,7 +406,6 @@ class HierarchySimulator
                        bool count_read, bool timed);
 
     /** @{ @name Per-level timing helpers */
-    Tick cacheCycleTicks(std::size_t i) const;
     Tick readHitService(std::size_t i,
                         std::uint64_t up_bytes) const;
     Tick tagCheckTicks(std::size_t i) const;
@@ -299,27 +421,24 @@ class HierarchySimulator
 
     HierarchyParams params_;
     Tick cpuCycle_;
-    Tick l1iCycle_ = 0;
-    Tick l1dCycle_ = 0;
-    bool fastHit_ = true;
-    /** @{ @name Hit-path tick constants: the cycles an L1 hit adds
-     *  beyond the base instruction cycle, precomputed so the inline
-     *  fast paths never touch CacheParams. */
+    /** @{ @name L1 constants, precomputed so the timing never
+     *  touches CacheParams. The I-side ones describe the cache
+     *  that serves ifetches: the unified L1 when !splitL1. */
     Tick l1iReadExtra_ = 0; //!< (readCycles-1) * cycle, I-side
     Tick l1dReadExtra_ = 0; //!< (readCycles-1) * cycle, D-side
     Tick l1dWriteExtra_ = 0; //!< (writeCycles-1) * cycle, D-side
+    std::uint64_t l1iFillBytes_ = 0; //!< fill request, I-side
+    std::uint64_t l1dFillBytes_ = 0; //!< fill request, D-side
     /** @} */
     /** Exact cpuCycle_ rounding without a divide per miss/store. */
     FixedDivisor cpuCycleDiv_;
     /** @{ @name Per-level tick constants, precomputed so the miss
      *  path never converts cycleNs (a double) at access time. */
-    std::vector<Tick> levelCycleTicks_;
     std::vector<Tick> levelTagCheckTicks_;
     std::vector<Tick> levelWriteTicks_; //!< writeCycles * cycle
     /** @} */
 
-    std::unique_ptr<cache::Cache> l1i_;
-    std::unique_ptr<cache::Cache> l1d_; //!< unified L1 if !splitL1
+    L1Front front_;
     std::vector<std::unique_ptr<cache::Cache>> levels_;
     std::vector<std::unique_ptr<cache::Cache>> solo_;
     std::vector<mem::Bus> buses_; //!< buses_[i] feeds levels_[i];
@@ -328,10 +447,6 @@ class HierarchySimulator
     mem::MainMemory memory_;
 
     Tick now_ = 0;
-    std::uint64_t instructions_ = 0;
-    std::uint64_t ifetches_ = 0;
-    std::uint64_t loads_ = 0;
-    std::uint64_t stores_ = 0;
     std::uint64_t refsRun_ = 0;
 
     std::vector<std::uint64_t> readReqs_;
@@ -359,7 +474,6 @@ class HierarchySimulator
     /** Boundary-traffic sink; nullptr when not recording. */
     std::vector<BoundaryOp> *boundaryRec_ = nullptr;
 
-    cache::AccessOutcome l1Outcome_; //!< reused per reference
     /** One buffer per downstream level: the recursion at level i
      *  iterates its own buffer while deeper calls use theirs. */
     std::vector<cache::AccessOutcome> levelOutcomes_;
@@ -372,59 +486,35 @@ class HierarchySimulator
 inline void
 HierarchySimulator::handleRef(const trace::MemRef &ref, bool timed)
 {
-    cache::Cache *l1 = l1d_.get();
-    Tick l1_cycle = l1dCycle_;
-    Tick read_extra = l1dReadExtra_;
-
-    if (ref.isInst()) {
-        ++instructions_;
-        ++ifetches_;
-        if (timed) {
-            now_ += cpuCycle_;
-            baseTicks_ += cpuCycle_;
-        }
-        if (params_.splitL1) {
-            l1 = l1i_.get();
-            l1_cycle = l1iCycle_;
-            read_extra = l1iReadExtra_;
-        }
-    } else if (ref.type == trace::RefType::Load) {
-        ++loads_;
-    } else {
-        ++stores_;
-    }
-
     // Solo co-simulation sees the raw CPU stream.
     if (!solo_.empty())
         soloReplay(ref);
 
-    // The hot path: an L1 hit (the ~95% case at the paper's base
-    // miss ratios) is one inline SoA probe plus a recency touch —
-    // no AccessOutcome, no downstream machinery. Bit-exact with the
-    // generic path (golden-tested); misses, write-through stores
-    // and boundary cases fall through unchanged.
-    if (fastHit_) {
-        if (ref.isRead()) {
-            if (l1->tryReadHit(ref)) {
-                if (timed) {
-                    now_ += read_extra;
-                    readStallCacheTicks_ += read_extra;
-                }
-                return;
-            }
-        } else if (l1->tryStoreHit(ref)) {
-            // A write-back store hit completes locally (stores
-            // always address the D-side): same timing as the
-            // generic hit-and-no-forward arm.
-            if (timed) {
-                now_ += l1dWriteExtra_;
-                storeWriteHitTicks_ += l1dWriteExtra_;
-            }
-            return;
-        }
+    const L1Front::Step step = front_.step(ref);
+    if (timed && ref.isInst()) {
+        now_ += cpuCycle_;
+        baseTicks_ += cpuCycle_;
     }
-
-    handleRefSlow(ref, timed, l1, l1_cycle);
+    switch (step) {
+      case L1Front::Step::ReadHit:
+        if (timed) {
+            const Tick extra =
+                ref.isInst() ? l1iReadExtra_ : l1dReadExtra_;
+            now_ += extra;
+            readStallCacheTicks_ += extra;
+        }
+        return;
+      case L1Front::Step::StoreHit:
+        if (timed) {
+            now_ += l1dWriteExtra_;
+            storeWriteHitTicks_ += l1dWriteExtra_;
+        }
+        return;
+      case L1Front::Step::ReadMiss:
+      case L1Front::Step::StoreDown:
+        handleMiss(ref, front_.outcome(), timed);
+        return;
+    }
 }
 
 /**

@@ -68,6 +68,15 @@ struct HierarchyParams
      *  inconsistency. */
     void finalize();
 
+    /** A finalize()d copy. */
+    HierarchyParams
+    finalized() const
+    {
+        HierarchyParams p = *this;
+        p.finalize();
+        return p;
+    }
+
     /** The paper's base machine: 10 ns CPU, split 2K+2K
      *  direct-mapped L1 (16 B blocks, write-back), 512 KB
      *  direct-mapped L2 (32 B blocks, 3 CPU-cycle cycle time),
@@ -87,6 +96,20 @@ struct HierarchyParams
     /** One-line description for reports. */
     std::string summary() const;
 };
+
+/**
+ * @{ @name Seed rule
+ *
+ * Seeds of the Random-replacement streams of a hierarchy's caches:
+ * the L1s, downstream level i, and level i's solo copy. Every
+ * engine that replays one of them seeds it from here, so a Random
+ * cache picks the same victims in each.
+ */
+constexpr std::uint64_t kL1iSeed = 0x1234abcdULL;
+constexpr std::uint64_t kL1dSeed = kL1iSeed + 1;
+constexpr std::uint64_t levelSeed(std::size_t i) { return kL1iSeed + 2 + i; }
+constexpr std::uint64_t soloSeed(std::size_t i) { return kL1iSeed + 100 + i; }
+/** @} */
 
 } // namespace hier
 } // namespace mlc

@@ -8,11 +8,6 @@ namespace onepass {
 
 namespace {
 
-/** hierarchy.cc seeds levels_[0] with kCacheSeedBase + 2; the
- *  pivot replica must match so a Random-replacement pivot picks
- *  the same victims as the timing simulator's L2. */
-constexpr std::uint64_t kPivotSeed = 0x1234abcdULL + 2;
-
 cache::CacheParams
 pivotParams(const hier::HierarchyParams &base,
             const GhostCacheSpec &pivot)
@@ -47,9 +42,12 @@ CascadeFamilySpec::key() const
     return out;
 }
 
+// Seeded as the simulator seeds levels[0], the level the pivot
+// stands in for, so a Random-replacement pivot picks the same
+// victims as the timing simulator's L2.
 CascadeFilter::CascadeFilter(const hier::HierarchyParams &base,
                              const GhostCacheSpec &pivot)
-    : cache_(pivotParams(base, pivot), kPivotSeed),
+    : cache_(pivotParams(base, pivot), hier::levelSeed(0)),
       writeThrough_(cache_.params().writePolicy ==
                     cache::WritePolicy::WriteThrough),
       writeAllocates_(cache_.params().downstreamWriteMiss ==

@@ -1,31 +1,20 @@
 /**
  * @file
- * Functional replica of the first level of a hierarchy, emitting
- * the event stream a second-level cache would observe.
- *
- * HierarchySimulator::handleRef keeps its functional state updates
- * strictly independent of timing (the `timed` flag gates only the
- * cycle accounting), and under the default write-around policy
- * nothing a downstream level does ever feeds back upstream. The L2
- * request stream is therefore a pure function of (L1 configuration,
- * trace), which is what makes one pass over the trace sufficient to
- * price a whole family of L2s: replay the L1s once, hand each
- * departing event to every ghost array.
- *
- * The emitted event order per reference matches hierarchy.cc
- * exactly — demand fill first, then the rest of the fetch group,
- * then dirty-victim write-backs, then a forwarded store if any —
- * because LRU state downstream depends on that order.
+ * The event stream a second-level cache observes: the timing
+ * simulator's own L1 front end (hier::L1Front), its departing
+ * traffic turned into ghost-sweep events. That stream depends only
+ * on (L1 configuration, trace), so one pass prices a whole family
+ * of L2s. Events keep the simulator's order (demand fill, rest of
+ * the fetch group, dirty victims, forwarded store), on which
+ * downstream LRU state depends.
  */
 
 #ifndef MLC_ONEPASS_L1_FILTER_HH
 #define MLC_ONEPASS_L1_FILTER_HH
 
 #include <cstdint>
-#include <memory>
 
-#include "cache/cache.hh"
-#include "hier/hierarchy_config.hh"
+#include "hier/hierarchy.hh"
 #include "trace/mem_ref.hh"
 
 namespace mlc {
@@ -48,96 +37,55 @@ class L1Filter
 {
   public:
     /** @param params is finalized internally (copy). */
-    explicit L1Filter(hier::HierarchyParams params);
+    explicit L1Filter(const hier::HierarchyParams &params)
+        : params_(params.finalized()), front_(params_)
+    {
+    }
 
     /** Replay one CPU reference through the L1s. */
     template <typename Sink>
     void
     step(const trace::MemRef &ref, Sink &&sink)
     {
-        cache::Cache *l1 = l1d_.get();
-        if (ref.isInst()) {
-            ++instructions_;
-            ++ifetches_;
-            if (l1i_)
-                l1 = l1i_.get();
-        } else if (ref.type == trace::RefType::Load) {
-            ++loads_;
-        } else {
-            ++stores_;
+        const hier::L1Front::Step s = front_.step(ref);
+        if (s == hier::L1Front::Step::ReadHit ||
+            s == hier::L1Front::Step::StoreHit)
+            return;
+        // Only the leading (demand) fill of a read-origin miss is a
+        // counted L2 read request, as in fillFromBelow.
+        const cache::AccessOutcome &out = front_.outcome();
+        bool counted = s == hier::L1Front::Step::ReadMiss;
+        for (Addr fill : out.fills) {
+            sink.onRead(fill, counted);
+            counted = false;
         }
-
-        if (ref.isRead()) {
-            // Same inline fast path as the timing simulator: a read
-            // hit updates counters and recency without touching an
-            // AccessOutcome.
-            if (l1->tryReadHit(ref))
-                return;
-            l1->access(ref, outcome_);
-            if (outcome_.hit)
-                return;
-            emit(outcome_, true, sink);
-            return;
-        }
-
-        // Store: a write-back hit stays local (fast path, same
-        // contract as the read one); everything else sends
-        // fills/write-backs and possibly the store itself down.
-        if (l1->tryStoreHit(ref))
-            return;
-        l1->access(ref, outcome_);
-        if (outcome_.hit && !outcome_.forwardWrite)
-            return;
-        if (!outcome_.fills.empty() || !outcome_.writebacks.empty())
-            emit(outcome_, false, sink);
-        if (outcome_.forwardWrite)
+        for (const cache::WritebackReq &victim : out.writebacks)
+            sink.onWrite(victim.base);
+        if (s == hier::L1Front::Step::StoreDown && out.forwardWrite)
             sink.onWrite(ref.addr & ~Addr{3});
     }
 
     /** Zero all counters, keeping tag state (post-warm-up). */
-    void resetCounts();
+    void resetCounts() { front_.resetCounts(); }
 
     /** @{ @name Reference-mix counters since the last reset */
-    std::uint64_t instructions() const { return instructions_; }
-    std::uint64_t ifetches() const { return ifetches_; }
-    std::uint64_t loads() const { return loads_; }
-    std::uint64_t stores() const { return stores_; }
-    std::uint64_t cpuReads() const { return ifetches_ + loads_; }
+    std::uint64_t instructions() const { return front_.instructions(); }
+    std::uint64_t ifetches() const { return front_.ifetches(); }
+    std::uint64_t loads() const { return front_.loads(); }
+    std::uint64_t stores() const { return front_.stores(); }
+    std::uint64_t cpuReads() const { return ifetches() + loads(); }
     /** @} */
 
     /** @{ @name Combined L1 read traffic (split I+D summed) */
-    std::uint64_t l1ReadRequests() const;
-    std::uint64_t l1ReadMisses() const;
+    std::uint64_t l1ReadRequests() const { return front_.readRequests(); }
+    std::uint64_t l1ReadMisses() const { return front_.readMisses(); }
     /** @} */
 
     const hier::HierarchyParams &params() const { return params_; }
 
   private:
-    template <typename Sink>
-    void
-    emit(const cache::AccessOutcome &outcome, bool read_origin,
-         Sink &&sink)
-    {
-        // Mirrors fillFromBelow: only the leading (demand) fill of
-        // a read-origin miss is a counted L2 read request.
-        bool first = true;
-        for (Addr fill : outcome.fills) {
-            sink.onRead(fill, read_origin && first);
-            first = false;
-        }
-        for (const cache::WritebackReq &victim : outcome.writebacks)
-            sink.onWrite(victim.base);
-    }
-
     hier::HierarchyParams params_;
-    std::unique_ptr<cache::Cache> l1i_; //!< null if unified
-    std::unique_ptr<cache::Cache> l1d_;
-    cache::AccessOutcome outcome_;
-
-    std::uint64_t instructions_ = 0;
-    std::uint64_t ifetches_ = 0;
-    std::uint64_t loads_ = 0;
-    std::uint64_t stores_ = 0;
+    hier::L1Front front_;
 };
 
 } // namespace onepass

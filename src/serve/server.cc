@@ -12,9 +12,6 @@
 #include "expt/design_space.hh"
 #include "serve/metrics.hh"
 #include "util/thread_pool.hh"
-#include "trace/binary.hh"
-#include "trace/compressed.hh"
-#include "trace/dinero.hh"
 #include "trace/source.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
@@ -42,41 +39,6 @@ elapsedUs(std::chrono::steady_clock::time_point t0)
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - t0)
             .count());
-}
-
-/** File stem ("/a/b/t0.mlct" -> "t0") — the workload tag of a
- *  file-backed trace. */
-std::string
-fileTag(const std::string &path)
-{
-    const std::size_t slash = path.find_last_of('/');
-    std::string name =
-        slash == std::string::npos ? path : path.substr(slash + 1);
-    const std::size_t dot = name.find_last_of('.');
-    if (dot != std::string::npos && dot > 0)
-        name = name.substr(0, dot);
-    return name;
-}
-
-std::vector<trace::MemRef>
-readTraceFile(const std::string &path)
-{
-    const bool dinero = endsWith(path, ".din") ||
-                        endsWith(path, ".din.txt");
-    std::ifstream file(path, dinero ? std::ios::in
-                                    : std::ios::in |
-                                          std::ios::binary);
-    if (!file)
-        mlc_fatal("serve: cannot open trace file ", path);
-    std::unique_ptr<trace::TraceSource> src;
-    if (dinero)
-        src = std::make_unique<trace::DineroReader>(file);
-    else if (endsWith(path, ".mlcz"))
-        src = std::make_unique<trace::CompressedReader>(file);
-    else
-        src = std::make_unique<trace::BinaryReader>(file);
-    return trace::collect(
-        *src, std::numeric_limits<std::uint64_t>::max());
 }
 
 /** `trace_tools warm` sidecar lookup: <path>.warm.json. Returns
@@ -158,11 +120,7 @@ Server::Server(ServerOptions opts)
         // operator can tell resident live-points from cold traces
         // at startup instead of from the first slow sweep.
         for (const auto &wl : workloads_) {
-            std::size_t entries = 0;
-            for (const expt::TraceSpec &spec : wl->store.specs())
-                entries +=
-                    ckptStore_->list(wl->tag + "/" + spec.name)
-                        .size();
+            const std::uint64_t entries = checkpointEntries(*wl);
             inform("serve: workload '", wl->tag, "': ", entries,
                    " checkpoint farm ",
                    entries == 1 ? "entry" : "entries", " under ",
@@ -188,7 +146,7 @@ Server::registerBuiltinWorkloads()
 void
 Server::registerTraceFile(const std::string &path)
 {
-    const std::string tag = fileTag(path);
+    const std::string tag = trace::fileStem(path);
     if (findWorkload(tag))
         mlc_fatal("serve: duplicate workload tag '", tag, "'");
     expt::TraceSpec spec;
@@ -201,7 +159,9 @@ Server::registerTraceFile(const std::string &path)
     workloads_.push_back(std::make_unique<Workload>(
         tag, expt::TraceStore::deferred(
                  {spec}, [path](const expt::TraceSpec &) {
-                     return readTraceFile(path);
+                     return trace::collect(
+                         *trace::openTraceFile(path),
+                         std::numeric_limits<std::uint64_t>::max());
                  })));
     inform("serve: registered workload '", tag, "' from ", path,
            warm != 0 ? " (warm sidecar found)"
@@ -215,15 +175,6 @@ Server::findWorkload(const std::string &tag)
         if (wl->tag == tag)
             return wl.get();
     return nullptr;
-}
-
-std::vector<std::string>
-Server::workloadTags() const
-{
-    std::vector<std::string> tags;
-    for (const auto &wl : workloads_)
-        tags.push_back(wl->tag);
-    return tags;
 }
 
 hier::HierarchyParams
@@ -604,30 +555,64 @@ Server::handleBatch(const std::vector<std::string> &lines)
     return responses;
 }
 
+std::uint64_t
+Server::checkpointEntries(const Workload &wl) const
+{
+    std::uint64_t entries = 0;
+    for (const expt::TraceSpec &spec : wl.store.specs())
+        entries += ckptStore_->list(wl.tag + "/" + spec.name).size();
+    return entries;
+}
+
+MetricsSnapshot
+Server::snapshot() const
+{
+    MetricsSnapshot snap;
+    snap.counters = counters();
+    snap.memo = memo_.stats();
+    snap.profiles = profiles_.stats();
+    for (const auto &wl : workloads_)
+        snap.workloads.push_back(
+            {wl->tag, static_cast<std::uint64_t>(wl->store.size()),
+             static_cast<std::uint64_t>(
+                 wl->store.residentCount())});
+    snap.jobs = static_cast<std::uint64_t>(jobs_);
+    snap.shards = static_cast<std::uint64_t>(opts_.shards);
+    snap.draining = draining();
+    snap.tenantAdmitQuota =
+        static_cast<std::uint64_t>(opts_.tenantAdmitQuota);
+    if (ckptStore_) {
+        snap.haveCheckpoints = true;
+        for (const auto &wl : workloads_)
+            snap.checkpointEntries += checkpointEntries(*wl);
+    }
+    return snap;
+}
+
 std::string
 Server::handleStats(const Request &req)
 {
+    const MetricsSnapshot snap = snapshot();
     Json body = Json::object();
     {
-        std::lock_guard<std::mutex> clk(countersMu_);
+        const ServerCounters &sc = snap.counters;
         Json c = Json::object();
-        c.set("requests", Json(counters_.requests));
-        c.set("queries", Json(counters_.queries));
-        c.set("sweeps", Json(counters_.sweeps));
-        c.set("errors", Json(counters_.errors));
-        c.set("rejected_draining",
-              Json(counters_.rejectedDraining));
-        c.set("rejected_quota", Json(counters_.rejectedQuota));
-        c.set("batched_queries", Json(counters_.batchedQueries));
-        c.set("engine_runs", Json(counters_.engineRuns));
-        c.set("connections", Json(counters_.connectionsAccepted));
-        c.set("ckpt_loads", Json(counters_.ckptLoads));
-        c.set("ckpt_builds", Json(counters_.ckptBuilds));
-        c.set("ckpt_fallbacks", Json(counters_.ckptFallbacks));
+        c.set("requests", Json(sc.requests));
+        c.set("queries", Json(sc.queries));
+        c.set("sweeps", Json(sc.sweeps));
+        c.set("errors", Json(sc.errors));
+        c.set("rejected_draining", Json(sc.rejectedDraining));
+        c.set("rejected_quota", Json(sc.rejectedQuota));
+        c.set("batched_queries", Json(sc.batchedQueries));
+        c.set("engine_runs", Json(sc.engineRuns));
+        c.set("connections", Json(sc.connectionsAccepted));
+        c.set("ckpt_loads", Json(sc.ckptLoads));
+        c.set("ckpt_builds", Json(sc.ckptBuilds));
+        c.set("ckpt_fallbacks", Json(sc.ckptFallbacks));
         body.set("counters", std::move(c));
     }
     {
-        const ResultCache::Stats ms = memo_.stats();
+        const ResultCache::Stats &ms = snap.memo;
         Json m = Json::object();
         m.set("hits", Json(ms.hits));
         m.set("misses", Json(ms.misses));
@@ -647,7 +632,7 @@ Server::handleStats(const Request &req)
         body.set("memo", std::move(m));
     }
     {
-        const ProfileCache::Stats ps = profiles_.stats();
+        const ProfileCache::Stats &ps = snap.profiles;
         Json p = Json::object();
         p.set("hits", Json(ps.hits));
         p.set("misses", Json(ps.misses));
@@ -669,37 +654,25 @@ Server::handleStats(const Request &req)
     }
     {
         Json wls = Json::array();
-        for (const auto &wl : workloads_) {
+        for (const MetricsWorkload &wl : snap.workloads) {
             Json w = Json::object();
-            w.set("tag", Json(wl->tag));
-            w.set("traces", Json(static_cast<std::uint64_t>(
-                                wl->store.size())));
-            w.set("resident",
-                  Json(static_cast<std::uint64_t>(
-                      wl->store.residentCount())));
+            w.set("tag", Json(wl.tag));
+            w.set("traces", Json(wl.traces));
+            w.set("resident", Json(wl.resident));
             wls.push(std::move(w));
         }
         body.set("workloads", std::move(wls));
     }
-    if (ckptStore_) {
+    if (snap.haveCheckpoints) {
         Json ck = Json::object();
         ck.set("dir", Json(opts_.checkpointDir));
-        std::uint64_t entries = 0;
-        for (const auto &wl : workloads_)
-            for (const expt::TraceSpec &spec : wl->store.specs())
-                entries += ckptStore_
-                               ->list(wl->tag + "/" + spec.name)
-                               .size();
-        ck.set("entries", Json(entries));
+        ck.set("entries", Json(snap.checkpointEntries));
         body.set("checkpoints", std::move(ck));
     }
-    body.set("jobs", Json(static_cast<std::uint64_t>(jobs_)));
-    body.set("shards",
-             Json(static_cast<std::uint64_t>(opts_.shards)));
-    body.set("draining", Json(draining()));
-    body.set("tenant_admit_quota",
-             Json(static_cast<std::uint64_t>(
-                 opts_.tenantAdmitQuota)));
+    body.set("jobs", Json(snap.jobs));
+    body.set("shards", Json(snap.shards));
+    body.set("draining", Json(snap.draining));
+    body.set("tenant_admit_quota", Json(snap.tenantAdmitQuota));
 
     return okResponse(req.id, "\"stats\":" + body.dump(), false,
                       0);
@@ -708,34 +681,9 @@ Server::handleStats(const Request &req)
 std::string
 Server::handleMetrics(const Request &req)
 {
-    MetricsSnapshot snap;
-    {
-        std::lock_guard<std::mutex> clk(countersMu_);
-        snap.counters = counters_;
-    }
-    snap.memo = memo_.stats();
-    snap.profiles = profiles_.stats();
-    for (const auto &wl : workloads_)
-        snap.workloads.push_back(
-            {wl->tag, static_cast<std::uint64_t>(wl->store.size()),
-             static_cast<std::uint64_t>(
-                 wl->store.residentCount())});
-    snap.jobs = static_cast<std::uint64_t>(jobs_);
-    snap.shards = static_cast<std::uint64_t>(opts_.shards);
-    snap.draining = draining();
-    snap.tenantAdmitQuota =
-        static_cast<std::uint64_t>(opts_.tenantAdmitQuota);
-    if (ckptStore_) {
-        snap.haveCheckpoints = true;
-        for (const auto &wl : workloads_)
-            for (const expt::TraceSpec &spec : wl->store.specs())
-                snap.checkpointEntries +=
-                    ckptStore_->list(wl->tag + "/" + spec.name)
-                        .size();
-    }
     return okResponse(req.id,
                       "\"metrics\":" +
-                          Json(renderMetrics(snap)).dump(),
+                          Json(renderMetrics(snapshot())).dump(),
                       false, 0);
 }
 

@@ -61,6 +61,8 @@
 namespace mlc {
 namespace serve {
 
+struct MetricsSnapshot;
+
 /** Startup configuration for a Server. */
 struct ServerOptions
 {
@@ -172,13 +174,14 @@ class Server
     /** @} */
 
     ServerCounters counters() const;
+    /** Counters, caches, workloads and checkpoint entries at one
+     *  instant: what the stats and metrics verbs both render. */
+    MetricsSnapshot snapshot() const;
     const ServerOptions &options() const { return opts_; }
     /** Write end of the accept loop's self-pipe (-1 before
      *  start()). The signal handler writes one byte here so
      *  requestStop() is actually noticed by the blocked poll. */
     int wakeFd() const { return wakePipe_[1]; }
-    /** Tags of every registered workload, registration order. */
-    std::vector<std::string> workloadTags() const;
 
   private:
     struct Workload
@@ -203,6 +206,9 @@ class Server
     void registerBuiltinWorkloads();
     void registerTraceFile(const std::string &path);
     Workload *findWorkload(const std::string &tag);
+    /** Checkpoint farm entries held for @p wl's traces; needs
+     *  ckptStore_. */
+    std::uint64_t checkpointEntries(const Workload &wl) const;
 
     /** Base machine with the request's L1/assoc knobs applied. */
     static hier::HierarchyParams baseFor(const Request &req);

@@ -1,6 +1,7 @@
 /**
  * @file
- * Trace source/sink interfaces and the in-memory sources.
+ * Trace source/sink interfaces, the in-memory sources, and the
+ * opener that reads a trace file in the format its name names.
  *
  * A TraceSource produces MemRefs — one at a time through next(),
  * or many per call through nextBatch() for hot-path consumers; file
@@ -15,6 +16,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/mem_ref.hh"
@@ -157,6 +161,30 @@ class SpanSource : public TraceSource
 
 /** Collect up to @p limit references into a vector. */
 std::vector<MemRef> collect(TraceSource &source, std::uint64_t limit);
+
+/**
+ * The format a trace file's name names, the one rule every tool
+ * follows: `.din` or `.din.txt` is Dinero ASCII (dinero.hh),
+ * `.mlcz` compressed binary (compressed.hh), anything else MLCT
+ * binary (binary.hh), the one format MappedBinaryTrace maps.
+ */
+enum class TraceFormat { Binary, Compressed, Dinero };
+TraceFormat formatOf(std::string_view path);
+
+/** True when @p path names an MLCT binary trace. */
+inline bool
+isMappable(std::string_view path)
+{
+    return formatOf(path) == TraceFormat::Binary;
+}
+
+/** Open @p path in the format its name names. A file that cannot
+ *  be opened is fatal, as is a bad header (in each reader). */
+std::unique_ptr<TraceSource> openTraceFile(const std::string &path);
+
+/** The file name without directory or last extension
+ *  ("/a/b/t0.mlct" -> "t0"): a file-backed trace's workload tag. */
+std::string fileStem(const std::string &path);
 
 } // namespace trace
 } // namespace mlc

@@ -6,9 +6,10 @@
  * scalar next() through the batching default, an overridden
  * nextBatch(), and zero-copy RefSpan replay — and an inline L1
  * hit fast path that bypasses the generic access machinery. All of
- * them must produce *integer-identical* results: same cycle count,
- * same counter values, same victim choices, on every configuration.
- * These tests are the contract that keeps the hot-path work honest.
+ * them must produce *bit-identical* results: same cycle count,
+ * same counter values, same victim choices, same cycle breakdown
+ * and miss-penalty histogram, on every configuration. These tests
+ * are the contract that keeps the hot-path work honest.
  */
 
 #include <cstdint>
@@ -26,11 +27,13 @@ namespace {
 
 using trace::MemRef;
 
-/** Everything integer a run produces, for exact comparison. */
+/** Every field a run produces, for exact comparison. The doubles
+ *  are ratios of integer tick counts, so they compare bit for bit. */
 struct Golden
 {
     Tick now = 0;
     std::uint64_t totalCycles = 0;
+    std::uint64_t idealCycles = 0;
     std::uint64_t references = 0;
     std::uint64_t instructions = 0;
     std::uint64_t cpuReads = 0;
@@ -40,21 +43,22 @@ struct Golden
     std::vector<std::uint64_t> levelReads;
     std::vector<std::uint64_t> levelMisses;
     std::vector<std::uint64_t> levelWritebacks;
+    std::vector<std::uint64_t> l1DetailReads;
+    std::vector<std::uint64_t> l1DetailMisses;
+    std::vector<std::uint64_t> l1DetailWritebacks;
     std::uint64_t wbFullStalls = 0;
+    /** @{ @name CycleBreakdown buckets */
+    double base = 0.0;
+    double storeWriteHit = 0.0;
+    double readStallCacheHit = 0.0;
+    double readStallMemory = 0.0;
+    double storeStall = 0.0;
+    /** @} */
+    double meanL1MissPenalty = 0.0;
+    /** Miss-penalty histogram: underflow, buckets, overflow. */
+    std::vector<std::uint64_t> penaltyBuckets;
 
-    bool
-    operator==(const Golden &o) const
-    {
-        return now == o.now && totalCycles == o.totalCycles &&
-               references == o.references &&
-               instructions == o.instructions &&
-               cpuReads == o.cpuReads && cpuWrites == o.cpuWrites &&
-               memReads == o.memReads && memWrites == o.memWrites &&
-               levelReads == o.levelReads &&
-               levelMisses == o.levelMisses &&
-               levelWritebacks == o.levelWritebacks &&
-               wbFullStalls == o.wbFullStalls;
-    }
+    bool operator==(const Golden &o) const = default;
 };
 
 Golden
@@ -64,6 +68,7 @@ extract(const HierarchySimulator &sim)
     const SimResults r = sim.results();
     g.now = sim.now();
     g.totalCycles = r.totalCycles;
+    g.idealCycles = r.idealCycles;
     g.references = r.references;
     g.instructions = r.instructions;
     g.cpuReads = r.cpuReads;
@@ -76,6 +81,22 @@ extract(const HierarchySimulator &sim)
         g.levelMisses.push_back(lvl.readMisses);
         g.levelWritebacks.push_back(lvl.writebacks);
     }
+    for (const LevelResults &side : r.l1Detail) {
+        g.l1DetailReads.push_back(side.readRequests);
+        g.l1DetailMisses.push_back(side.readMisses);
+        g.l1DetailWritebacks.push_back(side.writebacks);
+    }
+    g.base = r.breakdown.base;
+    g.storeWriteHit = r.breakdown.storeWriteHit;
+    g.readStallCacheHit = r.breakdown.readStallCacheHit;
+    g.readStallMemory = r.breakdown.readStallMemory;
+    g.storeStall = r.breakdown.storeStall;
+    g.meanL1MissPenalty = r.meanL1MissPenaltyCycles;
+    const stats::Histogram &h = sim.missPenaltyHistogram();
+    g.penaltyBuckets.push_back(h.underflow());
+    for (std::size_t i = 0; i < h.bucketCount(); ++i)
+        g.penaltyBuckets.push_back(h.bucket(i));
+    g.penaltyBuckets.push_back(h.overflow());
     return g;
 }
 
@@ -144,6 +165,8 @@ expectAllModesIdentical(const HierarchyParams &params,
     const Golden reference =
         replay(params, warm, measure, Mode::Scalar, false);
     EXPECT_GT(reference.references, 0u);
+    EXPECT_GT(reference.base, 0.0);
+    EXPECT_GT(reference.meanL1MissPenalty, 0.0);
 
     for (const Mode mode :
          {Mode::Scalar, Mode::Batched, Mode::Span}) {

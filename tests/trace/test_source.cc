@@ -1,7 +1,18 @@
-/** @file Unit tests for the in-memory trace sources. */
+/** @file Unit tests for the in-memory trace sources and the trace
+ *  file opener. */
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "trace/binary.hh"
+#include "trace/compressed.hh"
+#include "trace/dinero.hh"
+#include "trace/interleave.hh"
 #include "trace/source.hh"
 
 namespace mlc {
@@ -133,6 +144,70 @@ TEST(Collect, StopsAtLimitOrEnd)
     EXPECT_EQ(collect(src, 2).size(), 2u);
     VectorSource src2(threeRefs());
     EXPECT_EQ(collect(src2, 10).size(), 3u);
+}
+
+/** Write @p refs to @p path in @p format with that format's writer. */
+void
+writeAs(TraceFormat format, const std::string &path,
+        const std::vector<MemRef> &refs)
+{
+    std::ofstream os(path, std::ios::binary);
+    const auto put = [&](auto &&writer) {
+        for (const MemRef &r : refs)
+            writer.put(r);
+        if constexpr (requires { writer.finish(); })
+            writer.finish();
+    };
+    switch (format) {
+      case TraceFormat::Dinero:
+        put(DineroWriter(os, true));
+        break;
+      case TraceFormat::Compressed:
+        put(CompressedWriter(os));
+        break;
+      case TraceFormat::Binary:
+        put(BinaryWriter(os));
+        break;
+    }
+}
+
+TEST(TraceFile, EveryFormatReadsBackThroughTheOpener)
+{
+    auto gen = makeMultiprogrammedWorkload(2, 3000, 0);
+    const std::vector<MemRef> refs = collect(*gen, 5000);
+    const std::pair<const char *, TraceFormat> cases[] = {
+        {".din", TraceFormat::Dinero},
+        {".din.txt", TraceFormat::Dinero},
+        {".mlcz", TraceFormat::Compressed},
+        {".mlct", TraceFormat::Binary},
+    };
+    for (const auto &[ext, format] : cases) {
+        const std::string path =
+            (std::filesystem::temp_directory_path() /
+             (std::string("mlc_trace_file_test") + ext))
+                .string();
+        ASSERT_EQ(formatOf(path), format) << path;
+        EXPECT_EQ(isMappable(path), format == TraceFormat::Binary);
+        writeAs(format, path, refs);
+        const std::vector<MemRef> back =
+            collect(*openTraceFile(path), refs.size() + 1);
+        std::remove(path.c_str());
+        ASSERT_EQ(back.size(), refs.size()) << path;
+        // Dinero records carry no access size.
+        for (std::size_t i = 0; i < refs.size(); ++i) {
+            ASSERT_EQ(back[i].type, refs[i].type) << path << " #" << i;
+            ASSERT_EQ(back[i].addr, refs[i].addr) << path << " #" << i;
+            if (format != TraceFormat::Dinero) {
+                ASSERT_TRUE(back[i] == refs[i]) << path << " #" << i;
+            }
+        }
+    }
+}
+
+TEST(TraceFileDeath, MissingFileIsFatal)
+{
+    EXPECT_EXIT(openTraceFile("/nonexistent/dir/t.mlct"),
+                testing::ExitedWithCode(1), "cannot open trace file");
 }
 
 } // namespace
