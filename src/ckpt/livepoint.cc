@@ -154,8 +154,10 @@ encodeWindow(ByteWriter &w,
     w.putVarint(snap.levels.size());
     for (const cache::CacheSnapshot &level : snap.levels)
         encodeCacheSnapshot(w, level);
+    // MLPT v1 keeps a separate ifetch slot; every instruction is
+    // one ifetch, so the count fills both.
     w.putVarint(snap.instructions);
-    w.putVarint(snap.ifetches);
+    w.putVarint(snap.instructions);
     w.putVarint(snap.loads);
     w.putVarint(snap.stores);
     w.putVarint(snap.refsRun);
@@ -233,7 +235,8 @@ decodeWindow(ByteReader &r,
         if (!decodeCacheSnapshot(r, level))
             return false;
     snap.instructions = r.getVarint();
-    snap.ifetches = r.getVarint();
+    if (r.getVarint() != snap.instructions) // the ifetch slot
+        return false;
     snap.loads = r.getVarint();
     snap.stores = r.getVarint();
     snap.refsRun = r.getVarint();

@@ -1,10 +1,16 @@
 #include "expt/design_space.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <deque>
+#include <exception>
 #include <limits>
+#include <memory>
+#include <mutex>
 
 #include "expt/runner.hh"
+#include "hier/hierarchy.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -12,7 +18,136 @@ namespace mlc {
 namespace expt {
 
 namespace {
+
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/**
+ * Evaluate cell(i, size, cycle) for every cell i (row-major) on
+ * @p jobs workers. Each cell writes its own slot and the grid is
+ * assembled in row-major order, so jobs=1 and jobs=N agree bit for
+ * bit.
+ */
+DesignSpaceGrid
+buildCells(const std::vector<std::uint64_t> &sizes,
+           const std::vector<std::uint32_t> &cycles, std::size_t jobs,
+           const std::function<double(std::size_t, std::uint64_t,
+                                      std::uint32_t)> &cell)
+{
+    DesignSpaceGrid grid(sizes, cycles);
+    const std::size_t cols = cycles.size();
+    std::vector<double> slots(sizes.size() * cols, 0.0);
+    parallelFor(jobs, slots.size(), [&](std::size_t i) {
+        slots[i] = cell(i, sizes[i / cols], cycles[i % cols]);
+    });
+    for (std::size_t s = 0; s < sizes.size(); ++s)
+        for (std::size_t c = 0; c < cols; ++c)
+            grid.set(s, c, slots[s * cols + c]);
+    return grid;
+}
+
+/**
+ * The FrontLogs of one store-driven grid: one per (trace, L1
+ * functional identity), each built once, by the first cell that
+ * needs it. A trace's warm-up is its spec's (scaledWarmup), so the
+ * trace index fixes it.
+ */
+class FrontLogTable
+{
+  public:
+    explicit FrontLogTable(const TraceStore &store) : store_(store) {}
+
+    /**
+     * Call fn(t, log) once per trace t with the log of @p params's
+     * L1 over it, starting at trace @p first. A log nobody has
+     * claimed is built here; one another cell is building is left
+     * for last. So the cells that start a grid build different
+     * traces' logs in parallel, and none waits on another's build
+     * while it has other traces to run.
+     */
+    template <typename Fn>
+    void
+    forEach(const hier::HierarchyParams &params, std::size_t first,
+            Fn &&fn)
+    {
+        Entry &entry = entryFor(params);
+        std::vector<std::size_t> later;
+        for (std::size_t k = 0; k < store_.size(); ++k) {
+            const std::size_t t = (first + k) % store_.size();
+            State seen = State::Empty;
+            if (entry.slots[t].state.compare_exchange_strong(
+                    seen, State::Building) ||
+                seen == State::Done)
+                fn(t, built(entry, t));
+            else
+                later.push_back(t);
+        }
+        for (const std::size_t t : later)
+            fn(t, built(entry, t));
+    }
+
+  private:
+    enum class State : std::uint8_t { Empty, Building, Done };
+
+    /**
+     * One trace's log behind TraceStore's latch: call_once builds
+     * it and blocks the cells that arrive meanwhile. A build that
+     * throws is kept and rethrown to every cell that needs the log:
+     * not every pthread_once re-arms when its routine throws
+     * (ThreadSanitizer's leaves the waiters spinning). The state
+     * only tells a cell whether to wait for the log now or later: a
+     * cell moves it from Empty to Building to claim the build.
+     */
+    struct Slot
+    {
+        std::once_flag once;
+        std::atomic<State> state{State::Empty};
+        std::unique_ptr<const hier::FrontLog> log;
+        std::exception_ptr failed; //!< what the build threw
+    };
+
+    struct Entry
+    {
+        hier::HierarchyParams l1; //!< the machine whose L1 is logged
+        std::vector<Slot> slots;  //!< one per trace
+    };
+
+    Entry &
+    entryFor(const hier::HierarchyParams &params)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        for (Entry &e : entries_)
+            if (hier::sameFunctionalL1(e.l1, params))
+                return e;
+        return entries_.emplace_back(
+            Entry{params, std::vector<Slot>(store_.size())});
+    }
+
+    /** Trace @p t's log in @p entry, built here unless it is built
+     *  or being built already. */
+    const hier::FrontLog &
+    built(Entry &entry, std::size_t t)
+    {
+        Slot &slot = entry.slots[t];
+        std::call_once(slot.once, [&] {
+            try {
+                slot.log = std::make_unique<const hier::FrontLog>(
+                    entry.l1, store_.span(t),
+                    scaledWarmup(store_.specs()[t]));
+            } catch (...) {
+                slot.failed = std::current_exception();
+            }
+            slot.state.store(State::Done);
+        });
+        if (slot.failed)
+            std::rethrow_exception(slot.failed);
+        return *slot.log;
+    }
+
+    const TraceStore &store_;
+    std::mutex mu_;             //!< guards entries_
+    std::deque<Entry> entries_; //!< deque: entries never move
+};
+
 } // namespace
 
 DesignSpaceGrid::DesignSpaceGrid(std::vector<std::uint64_t> sizes,
@@ -247,19 +382,9 @@ parallelBuildGrid(
     const std::function<double(std::uint64_t, std::uint32_t)> &eval,
     std::size_t jobs)
 {
-    DesignSpaceGrid grid(sizes, cycles);
-    const std::size_t cols = cycles.size();
-    const std::size_t cells = sizes.size() * cols;
-    // Each cell writes its own slot; the grid is then assembled in
-    // row-major order so jobs=1 and jobs=N agree bit for bit.
-    std::vector<double> slots(cells, 0.0);
-    parallelFor(jobs, cells, [&](std::size_t i) {
-        slots[i] = eval(sizes[i / cols], cycles[i % cols]);
-    });
-    for (std::size_t s = 0; s < sizes.size(); ++s)
-        for (std::size_t c = 0; c < cols; ++c)
-            grid.set(s, c, slots[s * cols + c]);
-    return grid;
+    return buildCells(sizes, cycles, jobs,
+                      [&](std::size_t, std::uint64_t size,
+                          std::uint32_t cyc) { return eval(size, cyc); });
 }
 
 DesignSpaceGrid
@@ -272,16 +397,33 @@ parallelBuildGrid(
         &machineFor,
     std::size_t jobs)
 {
-    // Parallelism lives at the cell level; each cell's runSuite is
-    // serial (jobs=1) so a (cells x traces) oversubscription never
-    // happens and the per-cell reduction order stays fixed.
-    return parallelBuildGrid(
-        sizes, cycles,
-        [&](std::uint64_t size, std::uint32_t cyc) {
-            return runSuite(machineFor(size, cyc), store, 1)
-                .relExecTime;
-        },
-        jobs);
+    if (store.size() == 0)
+        mlc_panic("parallelBuildGrid: empty trace store");
+    // What leaves L1 depends only on the L1 and the trace, so each
+    // (trace, L1) pair is stepped through L1 once, into a FrontLog,
+    // and a cell runs only the back end over its traces' logs.
+    // Parallelism lives at the cell level; a cell walks its traces
+    // serially from its own index mod the trace count, so the cells
+    // that start the grid build different traces' logs. Per-trace
+    // slots and runSuite's trace-order reduction keep every cell
+    // bit-identical to runSuite for any @p jobs.
+    FrontLogTable logs(store);
+    return buildCells(
+        sizes, cycles, jobs,
+        [&](std::size_t cell, std::uint64_t size, std::uint32_t cyc) {
+            hier::HierarchyParams params = machineFor(size, cyc);
+            // The grid records relExecTime only, which solo arrays
+            // never touch.
+            params.measureSolo = false;
+            std::vector<hier::SimResults> per_trace(store.size());
+            logs.forEach(params, cell % store.size(),
+                         [&](std::size_t t, const hier::FrontLog &log) {
+                             hier::HierarchySimulator sim(params);
+                             sim.replayLog(log);
+                             per_trace[t] = sim.results();
+                         });
+            return reduceSuite(params, per_trace).relExecTime;
+        });
 }
 
 std::vector<std::uint64_t>

@@ -155,11 +155,16 @@ DesignSpaceGrid parallelBuildGrid(
 /**
  * Timing-engine grid over a materialize-once TraceStore: each cell
  * simulates machineFor(size, cycle) over every stored trace and
- * records the suite-mean relative execution time. The store is
- * decoded exactly once per trace no matter how many grids or
- * engines consume it — cells parallelize across @p jobs while each
- * cell's runSuite stays serial, so no reference stream is ever
- * re-materialized. Deterministic for any @p jobs.
+ * records the suite-mean relative execution time, bit-identical to
+ * runSuite(machineFor(size, cycle), store).relExecTime for any
+ * @p jobs. Each cell calls machineFor once, on its own worker.
+ *
+ * The call keeps one table of hier::FrontLogs, keyed by trace and
+ * L1 functional identity (hier::sameFunctionalL1); each log is
+ * built once, by the first cell that needs it, and every cell runs
+ * only the timed back end over its traces' logs. Nothing outlives
+ * the call. Cells run without solo arrays (measureSolo is
+ * ignored).
  */
 DesignSpaceGrid parallelBuildGrid(
     const std::vector<std::uint64_t> &sizes,

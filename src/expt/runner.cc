@@ -49,7 +49,13 @@ runSuite(const hier::HierarchyParams &params,
         per_trace[t] =
             runOnTrace(params, traces[t], scaledWarmup(specs[t]));
     });
+    return reduceSuite(params, per_trace);
+}
 
+SuiteResults
+reduceSuite(const hier::HierarchyParams &params,
+            const std::vector<hier::SimResults> &per_trace)
+{
     SuiteResults avg;
     const std::size_t depth = params.levels.size();
     avg.localMiss.assign(depth, 0.0);

@@ -73,6 +73,14 @@ SuiteResults runSuite(const hier::HierarchyParams &params,
                       const TraceStore &store,
                       std::size_t jobs = 1);
 
+/**
+ * The across-trace reduction every suite run ends in: means over
+ * @p per_trace, summed in trace order, and across-trace sample
+ * standard deviations; solo columns when params.measureSolo.
+ */
+SuiteResults reduceSuite(const hier::HierarchyParams &params,
+                         const std::vector<hier::SimResults> &per_trace);
+
 } // namespace expt
 } // namespace mlc
 

@@ -136,24 +136,24 @@ HierarchySimulator::downstreamRead(std::size_t i, Addr addr,
         const mem::WriteBuffer::Op op{tag, tag};
         miss_known = wb_[i]->read(start, addr, bytes, op).done;
     }
-    return fillFromBelow(i + 1, outcome,
+    return fillFromBelow(i + 1, outcome.fills, outcome.writebacks,
                          c.params().fillRequestBytes(), miss_known,
                          count_read, timed);
 }
 
 Tick
-HierarchySimulator::fillFromBelow(std::size_t i,
-                                  const cache::AccessOutcome &outcome,
-                                  std::uint64_t up_block_bytes,
-                                  Tick start, bool count_read,
-                                  bool timed)
+HierarchySimulator::fillFromBelow(
+    std::size_t i, std::span<const Addr> fills,
+    std::span<const cache::WritebackReq> writebacks,
+    std::uint64_t up_block_bytes, Tick start, bool count_read,
+    bool timed)
 {
     // The demand block gates the requester; further fills of the
     // fetch group (and prefetches) proceed afterwards without
     // stalling it, but they do occupy the downstream timelines.
     Tick demand_ready = start;
     bool first = true;
-    for (Addr fill : outcome.fills) {
+    for (Addr fill : fills) {
         const Tick r = downstreamRead(i, fill, up_block_bytes,
                                       first ? start : demand_ready,
                                       count_read && first, timed);
@@ -164,7 +164,7 @@ HierarchySimulator::fillFromBelow(std::size_t i,
     }
 
     Tick ready = demand_ready;
-    for (const cache::WritebackReq &victim : outcome.writebacks) {
+    for (const cache::WritebackReq &victim : writebacks) {
         const Tick proceed = queueDownstreamWrite(
             i, victim.base, victim.bytes, demand_ready, timed);
         ready = std::max(ready, proceed);
@@ -249,16 +249,21 @@ HierarchySimulator::soloReplay(const trace::MemRef &ref)
 
 void
 HierarchySimulator::handleMiss(const trace::MemRef &ref,
-                               const cache::AccessOutcome &outcome,
-                               bool timed)
+                               const Departure &group, bool timed)
 {
+    // Every ifetch costs its CPU cycle, hit or miss.
+    if (timed && ref.isInst()) {
+        now_ += cpuCycle_;
+        baseTicks_ += cpuCycle_;
+    }
     if (ref.isRead()) {
         ++l1ReadMissCount_;
         const Tick miss_start = now_;
         const std::uint64_t mem_reads_before = memReads_;
         const Tick ready = fillFromBelow(
-            0, outcome, ref.isInst() ? l1iFillBytes_ : l1dFillBytes_,
-            now_, true, timed);
+            0, group.fills, group.writebacks,
+            ref.isInst() ? l1iFillBytes_ : l1dFillBytes_, now_, true,
+            timed);
         if (timed) {
             l1ReadMissStallTicks_ += ready - miss_start;
             missPenaltyHist_.sample(
@@ -278,10 +283,10 @@ HierarchySimulator::handleMiss(const trace::MemRef &ref,
 
     // A store leaving L1: fills and victims, then a forwarded store.
     Tick ready = now_;
-    if (!outcome.fills.empty() || !outcome.writebacks.empty())
-        ready = fillFromBelow(0, outcome, l1dFillBytes_, now_, false,
-                              timed);
-    if (outcome.forwardWrite) {
+    if (!group.fills.empty() || !group.writebacks.empty())
+        ready = fillFromBelow(0, group.fills, group.writebacks,
+                              l1dFillBytes_, now_, false, timed);
+    if (group.forwardWrite) {
         const Addr word_base = ref.addr & ~Addr{3};
         const Tick proceed = queueDownstreamWrite(
             0, word_base, ref.size, ready, timed);
@@ -293,6 +298,99 @@ HierarchySimulator::handleMiss(const trace::MemRef &ref,
         storeStallTicks_ += now_ - before - l1dWriteExtra_;
         storeWriteHitTicks_ += l1dWriteExtra_;
     }
+}
+
+void
+HierarchySimulator::replayLog(const FrontLog &log)
+{
+    if (!solo_.empty())
+        mlc_panic("replayLog with solo co-simulation active: solo "
+                  "arrays replay the raw CPU stream, which a "
+                  "FrontLog does not keep");
+    if (!sameFunctionalL1(log.params(), params_))
+        mlc_panic("replayLog: the log was recorded on another L1");
+    const std::span<const Addr> fills = log.fills();
+    const std::span<const cache::WritebackReq> victims =
+        log.writebacks();
+    std::size_t f = 0;
+    std::size_t v = 0;
+    const auto depart = [&](const FrontLog::Record &rec, bool timed) {
+        if (!rec.departs)
+            return;
+        handleMiss({rec.addr, rec.type, rec.size, 0},
+                   {fills.subspan(f, rec.fills),
+                    victims.subspan(v, rec.writebacks),
+                    rec.forwardWrite},
+                   timed);
+        f += rec.fills;
+        v += rec.writebacks;
+    };
+
+    const std::vector<FrontLog::Record> &records = log.records();
+    for (std::size_t i = 0; i < log.boundary(); ++i)
+        depart(records[i], false);
+    resetAllCounts();
+    for (std::size_t i = log.boundary(); i < records.size(); ++i) {
+        chargeHits(records[i].hits);
+        depart(records[i], true);
+    }
+    chargeHits(log.tail());
+
+    const L1Counts &c = log.counts();
+    refsRun_ = c.instructions + c.loads + c.stores;
+    loggedL1_ = c;
+}
+
+FrontLog::FrontLog(const HierarchyParams &params, trace::RefSpan refs,
+                   std::uint64_t warmup_refs, std::uint32_t max_run)
+    : params_(params.finalized())
+{
+    L1Front front(params_);
+    HitRun run;
+    const auto hit = [&](std::uint32_t &count) {
+        if (++count == max_run) {
+            Record closed;
+            closed.hits = run;
+            closed.departs = false;
+            records_.push_back(closed);
+            run = {};
+        }
+    };
+    const auto record = [&](trace::RefSpan span) {
+        for (const trace::MemRef &ref : span) {
+            switch (front.step(ref)) {
+              case L1Front::Step::ReadHit:
+                hit(ref.isInst() ? run.ifetches : run.loads);
+                break;
+              case L1Front::Step::StoreHit:
+                hit(run.stores);
+                break;
+              case L1Front::Step::ReadMiss:
+              case L1Front::Step::StoreDown: {
+                const cache::AccessOutcome &out = front.outcome();
+                records_.push_back(
+                    {ref.addr, run,
+                     static_cast<std::uint32_t>(out.fills.size()),
+                     static_cast<std::uint32_t>(out.writebacks.size()),
+                     ref.type, ref.size, out.forwardWrite});
+                fills_.insert(fills_.end(), out.fills.begin(),
+                              out.fills.end());
+                writebacks_.insert(writebacks_.end(),
+                                   out.writebacks.begin(),
+                                   out.writebacks.end());
+                run = {};
+                break;
+              }
+            }
+        }
+    };
+    record(refs.first(warmup_refs));
+    boundary_ = records_.size();
+    front.resetCounts();
+    run = {};
+    record(refs.dropFirst(warmup_refs));
+    tail_ = run;
+    counts_ = front.counts();
 }
 
 template <bool Timed>
@@ -410,7 +508,6 @@ HierarchySimulator::captureWarmState(SnapshotArena &arena,
     for (std::size_t i = 0; i < prefix_levels; ++i)
         levels_[i]->captureState(arena, snap.levels[i]);
     snap.instructions = front_.instructions_;
-    snap.ifetches = front_.ifetches_;
     snap.loads = front_.loads_;
     snap.stores = front_.stores_;
     snap.refsRun = refsRun_;
@@ -447,7 +544,6 @@ HierarchySimulator::restoreWarmState(const SnapshotArena &arena,
     for (std::size_t i = 0; i < snap.prefixLevels; ++i)
         levels_[i]->restoreState(arena, snap.levels[i]);
     front_.instructions_ = snap.instructions;
-    front_.ifetches_ = snap.ifetches;
     front_.loads_ = snap.loads;
     front_.stores_ = snap.stores;
     refsRun_ = snap.refsRun;
@@ -491,24 +587,29 @@ sharedFunctionalPrefix(const HierarchyParams &a,
 }
 
 bool
-warmCompatible(const HierarchyParams &a, const HierarchyParams &b)
+sameFunctionalL1(const HierarchyParams &a, const HierarchyParams &b)
 {
     if (a.splitL1 != b.splitL1)
-        return false;
-    if (a.measureSolo || b.measureSolo)
         return false;
     if (a.splitL1 && !cache::functionallyEqual(a.l1i, b.l1i))
         return false;
     return cache::functionallyEqual(a.l1d, b.l1d);
 }
 
+bool
+warmCompatible(const HierarchyParams &a, const HierarchyParams &b)
+{
+    return !a.measureSolo && !b.measureSolo && sameFunctionalL1(a, b);
+}
+
 SimResults
 HierarchySimulator::results() const
 {
+    const L1Counts l1c = loggedL1_ ? *loggedL1_ : front_.counts();
     SimResults r;
-    r.instructions = front_.instructions();
-    r.cpuReads = front_.ifetches() + front_.loads();
-    r.cpuWrites = front_.stores();
+    r.instructions = l1c.instructions;
+    r.cpuReads = l1c.instructions + l1c.loads;
+    r.cpuWrites = l1c.stores;
     r.references = r.cpuReads + r.cpuWrites;
 
     r.totalCycles = divCeil(now_, cpuCycle_);
@@ -531,10 +632,9 @@ HierarchySimulator::results() const
     // Combined first level.
     LevelResults l1;
     l1.name = params_.splitL1 ? "l1" : "l1 (unified)";
-    l1.readRequests = front_.readRequests();
-    l1.readMisses = front_.readMisses();
-    l1.writebacks = front_.l1d_->counts().writebacks +
-                    (front_.l1i_ ? front_.l1i_->counts().writebacks : 0);
+    l1.readRequests = l1c.readRequests();
+    l1.readMisses = l1c.readMisses();
+    l1.writebacks = l1c.l1i.writebacks + l1c.l1d.writebacks;
     l1.localMissRatio =
         l1.readRequests == 0
             ? 0.0
@@ -547,20 +647,22 @@ HierarchySimulator::results() const
     r.levels.push_back(l1);
 
     if (params_.splitL1) {
-        for (const cache::Cache *c :
-             {front_.l1i_.get(), front_.l1d_.get()}) {
+        const auto side = [&](const std::string &name,
+                              const cache::CacheCounts &c) {
             LevelResults d;
-            d.name = c->params().name;
-            d.readRequests = c->counts().readAccesses();
-            d.readMisses = c->counts().readMisses();
-            d.writebacks = c->counts().writebacks;
-            d.localMissRatio = c->counts().readMissRatio();
+            d.name = name;
+            d.readRequests = c.readAccesses();
+            d.readMisses = c.readMisses();
+            d.writebacks = c.writebacks;
+            d.localMissRatio = c.readMissRatio();
             d.globalMissRatio =
                 r.cpuReads == 0
                     ? 0.0
                     : static_cast<double>(d.readMisses) / cpu_reads;
             r.l1Detail.push_back(d);
-        }
+        };
+        side(params_.l1i.name, l1c.l1i);
+        side(params_.l1d.name, l1c.l1d);
     }
 
     for (std::size_t i = 0; i < levels_.size(); ++i) {

@@ -37,6 +37,8 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -95,14 +97,37 @@ struct WarmSnapshot
     std::vector<cache::CacheSnapshot> levels; //!< [0, prefixLevels)
 
     /** @{ @name Counters that advance during untimed replay */
-    std::uint64_t instructions = 0;
-    std::uint64_t ifetches = 0;
+    std::uint64_t instructions = 0; //!< also the ifetch count
     std::uint64_t loads = 0;
     std::uint64_t stores = 0;
     std::uint64_t refsRun = 0;
     std::uint64_t l1ReadMissCount = 0;
     std::vector<std::uint64_t> readReqs;   //!< [0, prefixLevels)
     std::vector<std::uint64_t> readMisses; //!< [0, prefixLevels)
+    /** @} */
+};
+
+/** An L1 front's counters: the reference mix and each side's cache
+ *  counts. */
+struct L1Counts
+{
+    std::uint64_t instructions = 0; //!< also the ifetch count
+    std::uint64_t loads = 0;
+    std::uint64_t stores = 0;
+    cache::CacheCounts l1i; //!< all zero when the L1 is unified
+    cache::CacheCounts l1d; //!< the unified L1 when !splitL1
+
+    /** @{ @name L1 read traffic, split I+D summed */
+    std::uint64_t
+    readRequests() const
+    {
+        return l1i.readAccesses() + l1d.readAccesses();
+    }
+    std::uint64_t
+    readMisses() const
+    {
+        return l1i.readMisses() + l1d.readMisses();
+    }
     /** @} */
 };
 
@@ -149,7 +174,6 @@ class L1Front
         cache::Cache *l1 = l1d_.get();
         if (ref.isInst()) {
             ++instructions_;
-            ++ifetches_;
             if (l1i_)
                 l1 = l1i_.get();
         } else if (ref.type == trace::RefType::Load) {
@@ -185,33 +209,27 @@ class L1Front
     void
     resetCounts()
     {
-        instructions_ = ifetches_ = loads_ = stores_ = 0;
+        instructions_ = loads_ = stores_ = 0;
         if (l1i_)
             l1i_->resetCounts();
         l1d_->resetCounts();
     }
 
-    /** @{ @name Reference mix since the last reset */
+    /** @{ @name Reference mix since the last reset (every
+     *  instruction is one ifetch) */
     std::uint64_t instructions() const { return instructions_; }
-    std::uint64_t ifetches() const { return ifetches_; }
     std::uint64_t loads() const { return loads_; }
     std::uint64_t stores() const { return stores_; }
     /** @} */
 
-    /** @{ @name L1 read traffic, split I+D summed */
-    std::uint64_t
-    readRequests() const
+    /** Every counter since the last reset. */
+    L1Counts
+    counts() const
     {
-        return l1d_->counts().readAccesses() +
-               (l1i_ ? l1i_->counts().readAccesses() : 0);
+        return {instructions_, loads_, stores_,
+                l1i_ ? l1i_->counts() : cache::CacheCounts{},
+                l1d_->counts()};
     }
-    std::uint64_t
-    readMisses() const
-    {
-        return l1d_->counts().readMisses() +
-               (l1i_ ? l1i_->counts().readMisses() : 0);
-    }
-    /** @} */
 
   private:
     /** Checkpoints this state (WarmSnapshot) and reports per side. */
@@ -223,9 +241,109 @@ class L1Front
     bool fastPath_ = true;
 
     std::uint64_t instructions_ = 0;
-    std::uint64_t ifetches_ = 0;
     std::uint64_t loads_ = 0;
     std::uint64_t stores_ = 0;
+};
+
+/** L1 hits by kind. */
+struct HitRun
+{
+    std::uint32_t ifetches = 0;
+    std::uint32_t loads = 0;
+    std::uint32_t stores = 0;
+};
+
+/**
+ * What one reference sends below L1 (a ReadMiss or StoreDown step):
+ * its fills, demand fill first, its dirty victims, and whether the
+ * store itself goes down. A view into the front's AccessOutcome or
+ * into a FrontLog, so neither replay copies the group.
+ */
+struct Departure
+{
+    std::span<const Addr> fills;
+    std::span<const cache::WritebackReq> writebacks;
+    bool forwardWrite = false;
+};
+
+/**
+ * What one L1 configuration sends below L1 for one trace, recorded
+ * in a single pass of L1Front over the span.
+ *
+ * Neither the L1 tag state nor the cost of an L1 hit depends on
+ * anything below L1, so the timed back end needs from the trace only
+ * the departing steps (ReadMiss, StoreDown) and how many hits of
+ * each kind came between them. The log keeps exactly that: one
+ * Record per departing step, holding the hit run since the previous
+ * record, the reference's kind, address and size, and its fills,
+ * victims and forwardWrite (plus a record that departs nothing
+ * wherever 2^32 - 1 hits of one kind come in a row); the index of the first record after the
+ * warm boundary, whose hit run counts only post-boundary hits; the
+ * trailing hit run; and the front's counters after the boundary.
+ * HierarchySimulator::replayLog() replays it into any machine whose
+ * L1 is functionally equal (sameFunctionalL1), bit-identical to
+ * warmUp() + run() over the raw span. A log costs O(records), about
+ * 0.1 per reference on the grid suite, never one entry per
+ * reference.
+ */
+class FrontLog
+{
+  public:
+    /** One ReadMiss or StoreDown step, or a hit run closed at the
+     *  run limit, which sends nothing below L1. */
+    struct Record
+    {
+        Addr addr = 0;  //!< where a forwarded store writes
+        HitRun hits;    //!< L1 hits since the previous record
+        std::uint32_t fills = 0;      //!< its entries in fills()
+        std::uint32_t writebacks = 0; //!< its entries in writebacks()
+        trace::RefType type = trace::RefType::IFetch;
+        std::uint8_t size = 0;
+        bool forwardWrite = false;
+        bool departs = true; //!< false: the hit run alone
+    };
+
+    /** The longest run of one kind of hit a HitRun holds. */
+    static constexpr std::uint32_t kMaxRun =
+        std::numeric_limits<std::uint32_t>::max();
+
+    /**
+     * Step @p refs through an L1Front built from @p params's L1s;
+     * the first @p warmup_refs references (clamped to the span) are
+     * the warm-up. A hit run that reaches @p max_run (>= 1) hits of
+     * one kind is closed by a record that departs nothing, so a span
+     * of any length fits the 32-bit counts; a smaller @p max_run
+     * only exercises that split.
+     */
+    FrontLog(const HierarchyParams &params, trace::RefSpan refs,
+             std::uint64_t warmup_refs, std::uint32_t max_run = kMaxRun);
+
+    /** The finalized configuration whose L1s were recorded. */
+    const HierarchyParams &params() const { return params_; }
+    const std::vector<Record> &records() const { return records_; }
+    /** Records [0, boundary()) precede the warm boundary. */
+    std::size_t boundary() const { return boundary_; }
+    /** Hits after the last record, all past the boundary. */
+    const HitRun &tail() const { return tail_; }
+    /** The front's counters after the warm boundary. */
+    const L1Counts &counts() const { return counts_; }
+    /** @{ @name Every record's fills and victims, in record order */
+    const std::vector<Addr> &fills() const { return fills_; }
+    const std::vector<cache::WritebackReq> &
+    writebacks() const
+    {
+        return writebacks_;
+    }
+    /** @} */
+
+  private:
+    HierarchyParams params_;
+    std::vector<Record> records_;
+    std::vector<Addr> fills_;
+    std::vector<cache::WritebackReq> writebacks_;
+    std::size_t boundary_ = 0;
+    HitRun tail_;
+    L1Counts counts_;
 };
 
 /** Trace-driven, cycle-accounting hierarchy simulator. */
@@ -277,6 +395,20 @@ class HierarchySimulator
      * window's cycle arithmetic.
      */
     std::uint64_t runFunctional(trace::RefSpan refs);
+
+    /**
+     * Replay a recorded FrontLog instead of its raw span: the
+     * records before the warm boundary untimed, then a reset, then
+     * the rest timed, each record's hit run charged before its
+     * departure goes to the same back end the raw replay uses.
+     * Results, L1 counts included (taken from the log), equal
+     * warmUp() + run() over the span the log was recorded from.
+     * Call it on a fresh simulator, in place of those two. Panics
+     * when the log's L1 is not functionally this machine's, and
+     * when a solo co-simulation is active (solo arrays replay the
+     * raw CPU stream, which a log does not keep).
+     */
+    void replayLog(const FrontLog &log);
 
     /** Disable/re-enable the L1 front's hit fast paths; results
      *  do not depend on it (L1Front::setFastPath). */
@@ -364,12 +496,32 @@ class HierarchySimulator
     void handleRef(const trace::MemRef &ref, bool timed);
 
     /**
-     * A reference the front reported as ReadMiss or StoreDown:
-     * send @p outcome's fills, victims and forwarded store below
-     * L1 and, when timed, charge the stall.
+     * Charge @p hits L1 hits: an ifetch hit costs its CPU cycle
+     * plus the I-side read extra, a load hit the D-side read extra,
+     * a store hit the L1 write extra. The one hit-cost rule of the
+     * raw and the log replay.
      */
-    void handleMiss(const trace::MemRef &ref,
-                    const cache::AccessOutcome &outcome, bool timed);
+    void
+    chargeHits(const HitRun &hits)
+    {
+        const Tick issue = hits.ifetches * cpuCycle_;
+        const Tick read =
+            hits.ifetches * l1iReadExtra_ + hits.loads * l1dReadExtra_;
+        const Tick write = hits.stores * l1dWriteExtra_;
+        now_ += issue + read + write;
+        baseTicks_ += issue;
+        readStallCacheTicks_ += read;
+        storeWriteHitTicks_ += write;
+    }
+
+    /**
+     * The back end: @p ref left L1 (ReadMiss or StoreDown) with
+     * @p group; send its fills, victims and forwarded store below
+     * L1 and, when timed, charge an ifetch's CPU cycle and the
+     * stall.
+     */
+    void handleMiss(const trace::MemRef &ref, const Departure &group,
+                    bool timed);
 
     /** The replay loops every public entry point shares. */
     template <bool Timed>
@@ -399,9 +551,9 @@ class HierarchySimulator
                               std::uint64_t bytes, Tick start,
                               bool timed);
 
-    /** Fan a miss outcome's fills and write-backs downstream. */
-    Tick fillFromBelow(std::size_t i,
-                       const cache::AccessOutcome &outcome,
+    /** Fan a miss's fills and write-backs downstream. */
+    Tick fillFromBelow(std::size_t i, std::span<const Addr> fills,
+                       std::span<const cache::WritebackReq> writebacks,
                        std::uint64_t up_block_bytes, Tick start,
                        bool count_read, bool timed);
 
@@ -439,6 +591,9 @@ class HierarchySimulator
     /** @} */
 
     L1Front front_;
+    /** The L1 counters of a replayLog() run, which never steps
+     *  front_; results() reads them in place of front_'s. */
+    std::optional<L1Counts> loggedL1_;
     std::vector<std::unique_ptr<cache::Cache>> levels_;
     std::vector<std::unique_ptr<cache::Cache>> solo_;
     std::vector<mem::Bus> buses_; //!< buses_[i] feeds levels_[i];
@@ -490,30 +645,26 @@ HierarchySimulator::handleRef(const trace::MemRef &ref, bool timed)
     if (!solo_.empty())
         soloReplay(ref);
 
-    const L1Front::Step step = front_.step(ref);
-    if (timed && ref.isInst()) {
-        now_ += cpuCycle_;
-        baseTicks_ += cpuCycle_;
-    }
-    switch (step) {
+    switch (front_.step(ref)) {
       case L1Front::Step::ReadHit:
         if (timed) {
-            const Tick extra =
-                ref.isInst() ? l1iReadExtra_ : l1dReadExtra_;
-            now_ += extra;
-            readStallCacheTicks_ += extra;
+            if (ref.isInst())
+                chargeHits({1, 0, 0});
+            else
+                chargeHits({0, 1, 0});
         }
         return;
       case L1Front::Step::StoreHit:
-        if (timed) {
-            now_ += l1dWriteExtra_;
-            storeWriteHitTicks_ += l1dWriteExtra_;
-        }
+        if (timed)
+            chargeHits({0, 0, 1});
         return;
       case L1Front::Step::ReadMiss:
-      case L1Front::Step::StoreDown:
-        handleMiss(ref, front_.outcome(), timed);
+      case L1Front::Step::StoreDown: {
+        const cache::AccessOutcome &out = front_.outcome();
+        handleMiss(ref, {out.fills, out.writebacks, out.forwardWrite},
+                   timed);
         return;
+      }
     }
 }
 
@@ -527,10 +678,19 @@ std::size_t sharedFunctionalPrefix(const HierarchyParams &a,
                                    const HierarchyParams &b);
 
 /**
+ * True when @p a and @p b have functionally equal L1s: the same
+ * split and cache::functionallyEqual sides. Such L1s send the same
+ * traffic below L1 for any trace, so they share warm snapshots and
+ * FrontLogs.
+ */
+bool sameFunctionalL1(const HierarchyParams &a,
+                      const HierarchyParams &b);
+
+/**
  * True when a warm snapshot taken on a machine shaped like @p a is
- * reusable by one shaped like @p b: same L1 organization (split
- * and per-side functional parameters) and no solo co-simulation on
- * either side. The reusable depth is sharedFunctionalPrefix().
+ * reusable by one shaped like @p b: sameFunctionalL1() and no solo
+ * co-simulation on either side. The reusable depth is
+ * sharedFunctionalPrefix().
  */
 bool warmCompatible(const HierarchyParams &a,
                     const HierarchyParams &b);

@@ -68,17 +68,25 @@ class L1Filter
     /** Zero all counters, keeping tag state (post-warm-up). */
     void resetCounts() { front_.resetCounts(); }
 
-    /** @{ @name Reference-mix counters since the last reset */
+    /** @{ @name Reference-mix counters since the last reset (every
+     *  instruction is one ifetch) */
     std::uint64_t instructions() const { return front_.instructions(); }
-    std::uint64_t ifetches() const { return front_.ifetches(); }
     std::uint64_t loads() const { return front_.loads(); }
     std::uint64_t stores() const { return front_.stores(); }
-    std::uint64_t cpuReads() const { return ifetches() + loads(); }
+    std::uint64_t cpuReads() const { return instructions() + loads(); }
     /** @} */
 
     /** @{ @name Combined L1 read traffic (split I+D summed) */
-    std::uint64_t l1ReadRequests() const { return front_.readRequests(); }
-    std::uint64_t l1ReadMisses() const { return front_.readMisses(); }
+    std::uint64_t
+    l1ReadRequests() const
+    {
+        return front_.counts().readRequests();
+    }
+    std::uint64_t
+    l1ReadMisses() const
+    {
+        return front_.counts().readMisses();
+    }
     /** @} */
 
     const hier::HierarchyParams &params() const { return params_; }

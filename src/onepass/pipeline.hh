@@ -270,7 +270,7 @@ class Pipeline
     {
         TraceProfile mix;
         mix.instructions = l1_.instructions();
-        mix.ifetches = l1_.ifetches();
+        mix.ifetches = l1_.instructions();
         mix.loads = l1_.loads();
         mix.stores = l1_.stores();
         mix.l1ReadRequests = l1_.l1ReadRequests();

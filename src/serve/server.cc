@@ -149,6 +149,10 @@ Server::registerTraceFile(const std::string &path)
     const std::string tag = trace::fileStem(path);
     if (findWorkload(tag))
         mlc_fatal("serve: duplicate workload tag '", tag, "'");
+    // Open it once now, so a missing or unreadable file fails at
+    // start-up rather than on the first query with clients
+    // connected. The deferred loader below reopens it on first use.
+    (void)trace::openTraceFile(path);
     expt::TraceSpec spec;
     spec.name = tag;
     const std::uint64_t warm = sidecarWarmup(path);

@@ -36,8 +36,7 @@ concat(const Args &...args)
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+[[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
@@ -48,10 +47,11 @@ void informImpl(const std::string &msg);
     ::mlc::detail::panicImpl(__FILE__, __LINE__, \
                              ::mlc::detail::concat(__VA_ARGS__))
 
-/** Exit with a message: the user asked for something impossible. */
+/** Exit with a message: the user asked for something impossible.
+ *  The message names no source location (it is the user's error,
+ *  not the program's; panics keep theirs). */
 #define mlc_fatal(...) \
-    ::mlc::detail::fatalImpl(__FILE__, __LINE__, \
-                             ::mlc::detail::concat(__VA_ARGS__))
+    ::mlc::detail::fatalImpl(::mlc::detail::concat(__VA_ARGS__))
 
 /** Emit a warning to stderr and keep going. */
 template <typename... Args>

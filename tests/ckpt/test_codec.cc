@@ -3,6 +3,7 @@
  *  bounds-checked reader's latch-don't-panic contract, and the
  *  byte-run RLE compressor's exact-fit validation. */
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -10,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "ckpt/codec.hh"
+#include "ckpt/livepoint.hh"
+#include "trace/interleave.hh"
 
 namespace mlc {
 namespace ckpt {
@@ -182,6 +185,46 @@ TEST(CkptCodec, RleDecompressRejectsTruncatedAndGarbageInput)
     const std::uint8_t zero_run[] = {0x00};
     EXPECT_FALSE(
         rleDecompress(zero_run, 1, out.data(), out.size()));
+}
+
+TEST(CkptCodec, WindowWithUnequalInstructionSlotsIsRejected)
+{
+    // MLPT v1 writes the instruction count twice: its second slot
+    // held the ifetch count, which always equals it. A window whose
+    // two slots disagree is corrupt.
+    auto gen = trace::makeMultiprogrammedWorkload(2, 4000, 3);
+    const std::vector<trace::MemRef> refs = trace::collect(*gen, 20000);
+    hier::HierarchySimulator sim(hier::HierarchyParams::baseMachine());
+    sim.runFunctional({refs.data(), refs.size()});
+    SnapshotArena arena;
+    hier::WarmSnapshot snap;
+    sim.captureWarmState(arena, snap, 1);
+    snap.instructions = 0x123456789ULL; // a distinctive varint
+    ByteWriter w;
+    encodeWindow(w, {}, snap, arena);
+    std::vector<std::uint8_t> bytes = w.bytes();
+
+    ByteWriter slot;
+    slot.putVarint(snap.instructions);
+    std::vector<std::uint8_t> both = slot.bytes();
+    both.insert(both.end(), slot.bytes().begin(), slot.bytes().end());
+    const auto at =
+        std::search(bytes.begin(), bytes.end(), both.begin(), both.end());
+    ASSERT_NE(at, bytes.end());
+
+    const auto decodes = [&](const std::vector<std::uint8_t> &b) {
+        ByteReader r(b.data(), b.size());
+        std::vector<hier::BoundaryOp> ops;
+        hier::WarmSnapshot got;
+        SnapshotArena got_arena;
+        return decodeWindow(r, ops, got, got_arena) &&
+               got.instructions == snap.instructions;
+    };
+    EXPECT_TRUE(decodes(bytes));
+    // Flip a low bit of the second slot: same length, other count.
+    bytes[static_cast<std::size_t>(at - bytes.begin()) + slot.size()] ^=
+        1u;
+    EXPECT_FALSE(decodes(bytes));
 }
 
 TEST(CkptCodec, FnvIsSeedableAndOrderSensitive)

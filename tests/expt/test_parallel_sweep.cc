@@ -4,7 +4,10 @@
  *  materialize the same streams regardless of worker count. */
 
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -76,6 +79,126 @@ TEST(ParallelSweep, SimulatedGridBitIdenticalAcrossJobCounts)
     const DesignSpaceGrid parallel =
         parallelBuildGrid(sizes, cycles, eval, 4);
     expectGridsIdentical(serial, parallel);
+}
+
+using MachineFor =
+    std::function<hier::HierarchyParams(std::uint64_t, std::uint32_t)>;
+
+/** The store-driven grid, which runs the back end over FrontLogs,
+ *  equals runSuite's raw replay cell by cell at jobs 1, 4 and 7. */
+void
+expectStoreGridEqualsRunSuite(const TraceStore &store,
+                              const MachineFor &machineFor)
+{
+    const std::vector<std::uint64_t> sizes = {16 << 10, 64 << 10,
+                                              256 << 10};
+    const std::vector<std::uint32_t> cycles = {1, 2, 3, 5};
+    std::vector<double> want;
+    for (const std::uint64_t size : sizes)
+        for (const std::uint32_t cyc : cycles)
+            want.push_back(
+                runSuite(machineFor(size, cyc), store, 1).relExecTime);
+    for (const std::size_t jobs : {1u, 4u, 7u}) {
+        const DesignSpaceGrid grid =
+            parallelBuildGrid(sizes, cycles, store, machineFor, jobs);
+        for (std::size_t s = 0; s < sizes.size(); ++s)
+            for (std::size_t c = 0; c < cycles.size(); ++c)
+                EXPECT_EQ(grid.at(s, c), want[s * cycles.size() + c])
+                    << "jobs " << jobs << " cell (" << s << "," << c
+                    << ")";
+    }
+}
+
+TEST(ParallelSweep, StoreGridEqualsPerCellRunSuite)
+{
+    const TraceStore store = TraceStore::materialize(tinySuite());
+    const hier::HierarchyParams base =
+        hier::HierarchyParams::baseMachine();
+    expectStoreGridEqualsRunSuite(
+        store, [&](std::uint64_t size, std::uint32_t cyc) {
+            return base.withL2(size, cyc);
+        });
+}
+
+TEST(ParallelSweep, StoreGridWithTwoL1sEqualsPerCellRunSuite)
+{
+    // Alternating L1 sizes: two logs per trace. Some cells also ask
+    // for solo arrays, which the grid drops (they never touch
+    // timing) and runSuite keeps.
+    const TraceStore store = TraceStore::materialize(tinySuite());
+    const hier::HierarchyParams base =
+        hier::HierarchyParams::baseMachine();
+    expectStoreGridEqualsRunSuite(
+        store, [&](std::uint64_t size, std::uint32_t cyc) {
+            hier::HierarchyParams p =
+                (cyc % 2 == 1 ? base : base.withL1Total(16 << 10))
+                    .withL2(size, cyc);
+            p.measureSolo = cyc == 3;
+            return p;
+        });
+}
+
+TEST(ParallelSweep, StoreGridOverDeferredStoreEqualsPerCellRunSuite)
+{
+    const TraceStore store = TraceStore::deferred(tinySuite());
+    const hier::HierarchyParams base =
+        hier::HierarchyParams::baseMachine();
+    expectStoreGridEqualsRunSuite(
+        store, [&](std::uint64_t size, std::uint32_t cyc) {
+            return base.withL2(size, cyc);
+        });
+}
+
+TEST(ParallelSweep, StoreGridCallsMachineForOncePerCell)
+{
+    const TraceStore store = TraceStore::materialize(tinySuite());
+    const hier::HierarchyParams base =
+        hier::HierarchyParams::baseMachine();
+    const std::vector<std::uint64_t> sizes = {16 << 10, 64 << 10,
+                                              256 << 10};
+    const std::vector<std::uint32_t> cycles = {1, 3, 5};
+    for (const std::size_t jobs : {1u, 4u, 7u}) {
+        std::mutex mu;
+        std::map<std::pair<std::uint64_t, std::uint32_t>, int> calls;
+        parallelBuildGrid(
+            sizes, cycles, store,
+            [&](std::uint64_t size, std::uint32_t cyc) {
+                std::lock_guard<std::mutex> lk(mu);
+                ++calls[{size, cyc}];
+                return base.withL2(size, cyc);
+            },
+            jobs);
+        EXPECT_EQ(calls.size(), sizes.size() * cycles.size())
+            << "jobs " << jobs;
+        for (const auto &[cell, n] : calls)
+            EXPECT_EQ(n, 1) << "jobs " << jobs << " cell " << cell.first
+                            << "/" << cell.second;
+    }
+}
+
+TEST(ParallelSweep, StoreGridRethrowsAFailedLogBuild)
+{
+    // Trace 1 fails to load, so its log's build throws. The grid
+    // rethrows it, and the cells that wait on that log get the same
+    // error rather than hang.
+    const std::vector<TraceSpec> specs = tinySuite();
+    const hier::HierarchyParams base =
+        hier::HierarchyParams::baseMachine();
+    const auto machineFor = [&](std::uint64_t size, std::uint32_t cyc) {
+        return base.withL2(size, cyc);
+    };
+    for (const std::size_t jobs : {1u, 4u, 7u}) {
+        const TraceStore store = TraceStore::deferred(
+            specs, [&](const TraceSpec &spec) {
+                if (spec.name == specs[1].name)
+                    throw std::runtime_error("trace 1 unreadable");
+                return materialize(spec);
+            });
+        EXPECT_THROW(parallelBuildGrid({16 << 10, 64 << 10}, {1, 3, 5},
+                                       store, machineFor, jobs),
+                     std::runtime_error)
+            << "jobs " << jobs;
+    }
 }
 
 TEST(ParallelSweep, ParallelRunSuiteMatchesSerialBitForBit)

@@ -4,12 +4,14 @@
  *
  * The simulator offers several ways to feed the same references —
  * scalar next() through the batching default, an overridden
- * nextBatch(), and zero-copy RefSpan replay — and an inline L1
- * hit fast path that bypasses the generic access machinery. All of
- * them must produce *bit-identical* results: same cycle count,
- * same counter values, same victim choices, same cycle breakdown
- * and miss-penalty histogram, on every configuration. These tests
- * are the contract that keeps the hot-path work honest.
+ * nextBatch(), zero-copy RefSpan replay, and a recorded FrontLog
+ * that carries only what leaves L1 — and an inline L1 hit fast
+ * path that bypasses the generic access machinery. All of them
+ * must produce *bit-identical* results: same cycle count, same
+ * counter values, same victim choices, same cycle breakdown and
+ * miss-penalty histogram, on every configuration and at every
+ * warm-up length. These tests are the contract that keeps the
+ * hot-path work honest.
  */
 
 #include <cstdint>
@@ -121,12 +123,16 @@ class ScalarOnlySource : public trace::TraceSource
     std::size_t pos_ = 0;
 };
 
-enum class Mode { Scalar, Batched, Span };
+enum class Mode { Scalar, Batched, Span, Log };
 
+/** Warm up on the first @p warmup references of @p all, then
+ *  measure the rest, fed as @p mode says. */
 Golden
-replay(const HierarchyParams &params, trace::RefSpan warm,
-       trace::RefSpan measure, Mode mode, bool fast_path)
+replay(const HierarchyParams &params, trace::RefSpan all,
+       std::size_t warmup, Mode mode, bool fast_path)
 {
+    const trace::RefSpan warm = all.first(warmup);
+    const trace::RefSpan measure = all.dropFirst(warmup);
     HierarchySimulator sim(params);
     sim.setReadHitFastPath(fast_path);
     switch (mode) {
@@ -148,37 +154,53 @@ replay(const HierarchyParams &params, trace::RefSpan warm,
         sim.warmUp(warm);
         sim.run(measure);
         break;
+      case Mode::Log:
+        // The log's own front steps the L1s (fast path on); this
+        // simulator runs only the back end.
+        sim.replayLog(FrontLog(params, all, warmup));
+        break;
     }
     return extract(sim);
 }
 
 /** Assert every (mode, fast path) combination matches the scalar
- *  generic-path reference replay exactly. */
+ *  generic-path reference replay exactly, at warm-ups of nothing,
+ *  a quarter, the whole span and past it. */
 void
 expectAllModesIdentical(const HierarchyParams &params,
                         const std::vector<MemRef> &refs)
 {
     const trace::RefSpan all{refs.data(), refs.size()};
-    const trace::RefSpan warm = all.first(refs.size() / 4);
-    const trace::RefSpan measure = all.dropFirst(refs.size() / 4);
+    const std::size_t n = refs.size();
+    for (const std::size_t warmup : {std::size_t{0}, n / 4, n, n + 1000}) {
+        const Golden reference =
+            replay(params, all, warmup, Mode::Scalar, false);
+        if (warmup < n) {
+            EXPECT_GT(reference.references, 0u);
+            EXPECT_GT(reference.base, 0.0);
+            EXPECT_GT(reference.meanL1MissPenalty, 0.0);
+        } else {
+            // Nothing measured: nothing counted, as in runOnTrace.
+            EXPECT_EQ(reference.references, 0u);
+            EXPECT_EQ(reference.now, 0u);
+            EXPECT_EQ(reference.memReads + reference.memWrites, 0u);
+            for (const std::uint64_t reads : reference.levelReads)
+                EXPECT_EQ(reads, 0u);
+        }
 
-    const Golden reference =
-        replay(params, warm, measure, Mode::Scalar, false);
-    EXPECT_GT(reference.references, 0u);
-    EXPECT_GT(reference.base, 0.0);
-    EXPECT_GT(reference.meanL1MissPenalty, 0.0);
-
-    for (const Mode mode :
-         {Mode::Scalar, Mode::Batched, Mode::Span}) {
-        for (const bool fast : {false, true}) {
-            const Golden got =
-                replay(params, warm, measure, mode, fast);
-            EXPECT_TRUE(got == reference)
-                << "replay diverged: mode="
-                << static_cast<int>(mode) << " fast=" << fast
-                << " cycles " << got.totalCycles << " vs "
-                << reference.totalCycles << ", now " << got.now
-                << " vs " << reference.now;
+        for (const Mode mode :
+             {Mode::Scalar, Mode::Batched, Mode::Span, Mode::Log}) {
+            for (const bool fast : {false, true}) {
+                const Golden got =
+                    replay(params, all, warmup, mode, fast);
+                EXPECT_TRUE(got == reference)
+                    << "replay diverged: warmup=" << warmup
+                    << " mode=" << static_cast<int>(mode)
+                    << " fast=" << fast << " cycles "
+                    << got.totalCycles << " vs "
+                    << reference.totalCycles << ", now " << got.now
+                    << " vs " << reference.now;
+            }
         }
     }
 }
@@ -281,6 +303,69 @@ TEST(GoldenReplay, SoloCoSimulationUnaffectedByFastPath)
         return sim.results().levels[1].soloMissRatio;
     };
     EXPECT_EQ(solo_ratio(false), solo_ratio(true));
+}
+
+TEST(GoldenReplayDeath, LogNeedsTheRecordedL1AndNoSolo)
+{
+    const auto refs = workload(20000);
+    const HierarchyParams base = HierarchyParams::baseMachine();
+    const FrontLog log(base, refs, refs.size() / 4);
+
+    // Solo arrays replay the raw CPU stream, which the log lacks.
+    HierarchyParams solo = base;
+    solo.measureSolo = true;
+    HierarchySimulator with_solo(solo);
+    EXPECT_DEATH(with_solo.replayLog(log), "solo co-simulation");
+
+    HierarchySimulator other_l1(base.withL1Total(32 * 1024));
+    EXPECT_DEATH(other_l1.replayLog(log), "another L1");
+}
+
+/** A log carries no L1 timing: a machine with a slower L1 of the
+ *  same function prices it like its own raw replay. */
+TEST(GoldenReplay, LogServesAnyL1Timing)
+{
+    const auto refs = workload(60000);
+    const trace::RefSpan all{refs.data(), refs.size()};
+    HierarchyParams slow = HierarchyParams::baseMachine();
+    slow.l1i.readCycles = 2;
+    slow.l1d.readCycles = 2;
+    slow.l1d.writeCycles = 3;
+    const FrontLog log(HierarchyParams::baseMachine(), all,
+                       refs.size() / 4);
+    HierarchySimulator sim(slow);
+    sim.replayLog(log);
+    EXPECT_TRUE(extract(sim) == replay(slow, all, refs.size() / 4,
+                                       Mode::Span, true));
+}
+
+/** A hit run closed at the run limit, as one of 2^32 hits would be,
+ *  departs nothing: a log split that way replays like the raw span,
+ *  on either side of the warm boundary. */
+TEST(GoldenReplay, LogSplitsHitRunsAtTheRunLimit)
+{
+    const auto refs = workload(60000);
+    const trace::RefSpan all{refs.data(), refs.size()};
+    HierarchyParams no_allocate = HierarchyParams::baseMachine();
+    no_allocate.l1d.writePolicy = cache::WritePolicy::WriteThrough;
+    no_allocate.l1d.allocPolicy = cache::AllocPolicy::NoWriteAllocate;
+    for (const HierarchyParams &params :
+         {HierarchyParams::baseMachine(), no_allocate}) {
+        for (const std::size_t warmup : {std::size_t{0}, refs.size() / 4}) {
+            const FrontLog whole(params, all, warmup);
+            const Golden raw =
+                replay(params, all, warmup, Mode::Span, true);
+            for (const std::uint32_t max_run : {1u, 2u, 4u}) {
+                const FrontLog split(params, all, warmup, max_run);
+                EXPECT_GT(split.records().size(),
+                          whole.records().size());
+                HierarchySimulator sim(params);
+                sim.replayLog(split);
+                EXPECT_TRUE(extract(sim) == raw)
+                    << "warmup=" << warmup << " max_run=" << max_run;
+            }
+        }
+    }
 }
 
 } // namespace

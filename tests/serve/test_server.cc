@@ -352,6 +352,20 @@ TEST(Server, TraceFileShorterThanItsWarmupIsCountedWhole)
     std::filesystem::remove(path);
 }
 
+TEST(ServerDeath, MissingTraceFileFailsAtStartup)
+{
+    // Registration opens the file, so a bad path ends the process
+    // while the server is constructed: before a socket is bound and
+    // before any client could connect.
+    const std::string path = std::string(::testing::TempDir()) +
+                             "mlc_serve_missing.mlct";
+    std::filesystem::remove(path);
+    ServerOptions opts;
+    opts.traceFiles = {path};
+    EXPECT_EXIT({ Server server(opts); }, testing::ExitedWithCode(1),
+                "mlc_serve_missing.mlct: cannot open trace file");
+}
+
 TEST(Server, WarmMaterializesAndStatsSeesIt)
 {
     quickEnv();

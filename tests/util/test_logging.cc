@@ -24,6 +24,15 @@ TEST(Logging, FatalExitsWithStatusOne)
                 testing::ExitedWithCode(1), "fatal: bad config");
 }
 
+TEST(Logging, FatalMessageNamesNoSourceLocation)
+{
+    // The newline right after the message: no "(<source>:<line>)".
+    EXPECT_EXIT(mlc_fatal("bad --jobs value 'abc'"),
+                testing::ExitedWithCode(1),
+                "fatal: bad --jobs value 'abc'\n");
+    EXPECT_DEATH(mlc_panic("boom"), "panic: boom \\(.*:[0-9]+\\)");
+}
+
 TEST(Logging, QuietSuppressesWarnings)
 {
     setLogQuiet(true);
