@@ -1,10 +1,8 @@
 #include "expt/design_space.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <deque>
-#include <exception>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -46,106 +44,151 @@ buildCells(const std::vector<std::uint64_t> &sizes,
 }
 
 /**
- * The FrontLogs of one store-driven grid: one per (trace, L1
- * functional identity), each built once, by the first cell that
- * needs it. A trace's warm-up is its spec's (scaledWarmup), so the
- * trace index fixes it.
+ * The replays one store-driven grid shares. What leaves L1 depends
+ * only on the L1 and the trace, so each (trace, L1 functional
+ * identity) pair has one FrontLog. What the levels below L1 do
+ * depends only on that log and the functional hierarchy
+ * (hier::sameFunctionalHierarchy), so each log has one LevelTape
+ * per functional hierarchy: a Fig 4-1 size column shares one, since
+ * its cells differ only in cycle times. The first cell that needs a
+ * log builds it. A tape pays only if a cell reads it, and a
+ * hierarchy's first cell cannot know whether another will come: so
+ * that cell runs the back end alone, the second records the tape
+ * during its own timed run, and every later cell runs only the
+ * timeline. A hierarchy with one cell, such as a one-cell grid or
+ * a sweep over sizes at one cycle time, records no tape. A trace's
+ * warm-up is its spec's (scaledWarmup), so the trace index fixes
+ * it.
  */
-class FrontLogTable
+class ReplayTable
 {
   public:
-    explicit FrontLogTable(const TraceStore &store) : store_(store) {}
+    explicit ReplayTable(const TraceStore &store) : store_(store) {}
 
     /**
-     * Call fn(t, log) once per trace t with the log of @p params's
-     * L1 over it, starting at trace @p first. A log nobody has
-     * claimed is built here; one another cell is building is left
-     * for last. So the cells that start a grid build different
-     * traces' logs in parallel, and none waits on another's build
-     * while it has other traces to run.
+     * Run @p params over every trace, starting at trace @p first,
+     * into @p per_trace. A log or a tape nobody has claimed is built
+     * here; a trace whose log or tape another cell is building is
+     * left for last. So the cells that start a grid, or a column,
+     * build different traces' logs and tapes in parallel, and none
+     * waits on another's build while it has other traces to run.
      */
-    template <typename Fn>
     void
-    forEach(const hier::HierarchyParams &params, std::size_t first,
-            Fn &&fn)
+    run(const hier::HierarchyParams &params, std::size_t first,
+        std::vector<hier::SimResults> &per_trace)
     {
-        Entry &entry = entryFor(params);
+        LogEntry &logs = logsFor(params);
+        TapeEntry *tapes = tapesFor(logs, params);
+        const auto tape = [&](std::size_t t) {
+            return tapes ? &tapes->slots[t] : nullptr;
+        };
         std::vector<std::size_t> later;
         for (std::size_t k = 0; k < store_.size(); ++k) {
             const std::size_t t = (first + k) % store_.size();
-            State seen = State::Empty;
-            if (entry.slots[t].state.compare_exchange_strong(
-                    seen, State::Building) ||
-                seen == State::Done)
-                fn(t, built(entry, t));
+            if (logs.slots[t].latch.claim() &&
+                (!tapes || tapes->slots[t].latch.claim()))
+                per_trace[t] = replay(params, log(logs, t), tape(t));
             else
                 later.push_back(t);
         }
         for (const std::size_t t : later)
-            fn(t, built(entry, t));
+            per_trace[t] = replay(params, log(logs, t), tape(t));
     }
 
   private:
-    enum class State : std::uint8_t { Empty, Building, Done };
-
-    /**
-     * One trace's log behind TraceStore's latch: call_once builds
-     * it and blocks the cells that arrive meanwhile. A build that
-     * throws is kept and rethrown to every cell that needs the log:
-     * not every pthread_once re-arms when its routine throws
-     * (ThreadSanitizer's leaves the waiters spinning). The state
-     * only tells a cell whether to wait for the log now or later: a
-     * cell moves it from Empty to Building to claim the build.
-     */
-    struct Slot
+    struct LogSlot
     {
-        std::once_flag once;
-        std::atomic<State> state{State::Empty};
+        OnceSlot latch;
         std::unique_ptr<const hier::FrontLog> log;
-        std::exception_ptr failed; //!< what the build threw
     };
 
-    struct Entry
+    struct TapeSlot
+    {
+        OnceSlot latch;
+        std::unique_ptr<const hier::LevelTape> tape;
+    };
+
+    /** One functional hierarchy's tapes, one per trace. */
+    struct TapeEntry
+    {
+        hier::HierarchyParams machine; //!< the hierarchy taped
+        std::vector<TapeSlot> slots;
+    };
+
+    /** One L1's logs, one per trace, and the tapes over them. */
+    struct LogEntry
     {
         hier::HierarchyParams l1; //!< the machine whose L1 is logged
-        std::vector<Slot> slots;  //!< one per trace
+        std::vector<LogSlot> slots;
+        std::deque<TapeEntry> tapes; //!< guarded by mu_
     };
 
-    Entry &
-    entryFor(const hier::HierarchyParams &params)
+    LogEntry &
+    logsFor(const hier::HierarchyParams &params)
     {
         std::lock_guard<std::mutex> lk(mu_);
-        for (Entry &e : entries_)
+        for (LogEntry &e : entries_)
             if (hier::sameFunctionalL1(e.l1, params))
                 return e;
         return entries_.emplace_back(
-            Entry{params, std::vector<Slot>(store_.size())});
+            LogEntry{params, std::vector<LogSlot>(store_.size()), {}});
     }
 
-    /** Trace @p t's log in @p entry, built here unless it is built
-     *  or being built already. */
-    const hier::FrontLog &
-    built(Entry &entry, std::size_t t)
+    /** The tapes of @p params's functional hierarchy over @p logs;
+     *  none for the hierarchy's first cell, which only registers
+     *  it. */
+    TapeEntry *
+    tapesFor(LogEntry &logs, const hier::HierarchyParams &params)
     {
-        Slot &slot = entry.slots[t];
-        std::call_once(slot.once, [&] {
-            try {
-                slot.log = std::make_unique<const hier::FrontLog>(
-                    entry.l1, store_.span(t),
-                    scaledWarmup(store_.specs()[t]));
-            } catch (...) {
-                slot.failed = std::current_exception();
-            }
-            slot.state.store(State::Done);
+        std::lock_guard<std::mutex> lk(mu_);
+        for (TapeEntry &e : logs.tapes)
+            if (hier::sameFunctionalHierarchy(e.machine, params))
+                return &e;
+        logs.tapes.emplace_back(
+            TapeEntry{params, std::vector<TapeSlot>(store_.size())});
+        return nullptr;
+    }
+
+    /** Trace @p t's log, built here unless it is built or being
+     *  built already. */
+    const hier::FrontLog &
+    log(LogEntry &logs, std::size_t t)
+    {
+        LogSlot &slot = logs.slots[t];
+        slot.latch.build([&] {
+            slot.log = std::make_unique<const hier::FrontLog>(
+                logs.l1, store_.span(t), scaledWarmup(store_.specs()[t]));
         });
-        if (slot.failed)
-            std::rethrow_exception(slot.failed);
         return *slot.log;
     }
 
+    /** @p params over @p log: a timed replay that records the tape
+     *  in @p slot, unless the tape is recorded or being recorded,
+     *  then the timeline over it. Without a slot, a timed replay. */
+    static hier::SimResults
+    replay(const hier::HierarchyParams &params, const hier::FrontLog &log,
+           TapeSlot *slot)
+    {
+        hier::HierarchySimulator sim(params);
+        if (!slot) {
+            sim.replayLog(log);
+            return sim.results();
+        }
+        bool recorded = false;
+        slot->latch.build([&] {
+            auto tape = std::make_unique<hier::LevelTape>();
+            sim.replayLog(log, tape.get());
+            slot->tape = std::move(tape);
+            recorded = true;
+        });
+        if (!recorded)
+            sim.replayTimeline(log, *slot->tape);
+        return sim.results();
+    }
+
     const TraceStore &store_;
-    std::mutex mu_;             //!< guards entries_
-    std::deque<Entry> entries_; //!< deque: entries never move
+    std::mutex mu_;                //!< guards entries_ and their tapes
+    std::deque<LogEntry> entries_; //!< deque: entries never move
 };
 
 } // namespace
@@ -399,15 +442,18 @@ parallelBuildGrid(
 {
     if (store.size() == 0)
         mlc_panic("parallelBuildGrid: empty trace store");
-    // What leaves L1 depends only on the L1 and the trace, so each
-    // (trace, L1) pair is stepped through L1 once, into a FrontLog,
-    // and a cell runs only the back end over its traces' logs.
-    // Parallelism lives at the cell level; a cell walks its traces
-    // serially from its own index mod the trace count, so the cells
-    // that start the grid build different traces' logs. Per-trace
-    // slots and runSuite's trace-order reduction keep every cell
-    // bit-identical to runSuite for any @p jobs.
-    FrontLogTable logs(store);
+    // Each (trace, L1) pair is stepped through L1 once, into a
+    // FrontLog, and each (log, functional hierarchy) pair through
+    // the levels below L1 once, into a LevelTape: a cell runs the
+    // back end over its traces' logs, or only the timeline where
+    // another cell has taped its hierarchy. Parallelism lives at
+    // the cell level; a cell walks its traces serially from its own
+    // index mod the trace count, so the cells that start the grid
+    // build different traces' logs, and those that start a column
+    // different traces' tapes. Per-trace slots and runSuite's
+    // trace-order reduction keep every cell bit-identical to
+    // runSuite for any @p jobs.
+    ReplayTable table(store);
     return buildCells(
         sizes, cycles, jobs,
         [&](std::size_t cell, std::uint64_t size, std::uint32_t cyc) {
@@ -416,12 +462,7 @@ parallelBuildGrid(
             // never touch.
             params.measureSolo = false;
             std::vector<hier::SimResults> per_trace(store.size());
-            logs.forEach(params, cell % store.size(),
-                         [&](std::size_t t, const hier::FrontLog &log) {
-                             hier::HierarchySimulator sim(params);
-                             sim.replayLog(log);
-                             per_trace[t] = sim.results();
-                         });
+            table.run(params, cell % store.size(), per_trace);
             return reduceSuite(params, per_trace).relExecTime;
         });
 }

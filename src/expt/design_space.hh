@@ -160,11 +160,16 @@ DesignSpaceGrid parallelBuildGrid(
  * @p jobs. Each cell calls machineFor once, on its own worker.
  *
  * The call keeps one table of hier::FrontLogs, keyed by trace and
- * L1 functional identity (hier::sameFunctionalL1); each log is
- * built once, by the first cell that needs it, and every cell runs
- * only the timed back end over its traces' logs. Nothing outlives
- * the call. Cells run without solo arrays (measureSolo is
- * ignored).
+ * L1 functional identity (hier::sameFunctionalL1), and under each
+ * log one hier::LevelTape per functional hierarchy
+ * (hier::sameFunctionalHierarchy). Each log is built once, by the
+ * first cell that needs it. A hierarchy's first cell runs the timed
+ * back end over the logs; its second records the tapes during its
+ * own timed run; every later cell of that hierarchy, such as the
+ * rest of a cycle-time column, runs only the timeline over the
+ * (log, tape) pairs. A hierarchy with one cell records no tape.
+ * Nothing outlives the call. Cells run without solo arrays
+ * (measureSolo is ignored).
  */
 DesignSpaceGrid parallelBuildGrid(
     const std::vector<std::uint64_t> &sizes,

@@ -94,7 +94,7 @@ TraceStore::TraceStore(std::vector<TraceSpec> specs, Materializer m)
 {
     latches_.reserve(specs_.size());
     for (std::size_t i = 0; i < specs_.size(); ++i)
-        latches_.push_back(std::make_unique<Latch>());
+        latches_.push_back(std::make_unique<OnceSlot>());
 }
 
 TraceStore
@@ -126,15 +126,11 @@ TraceStore::ensure(std::size_t i) const
     if (i >= latches_.size())
         mlc_panic("TraceStore::ensure: trace ", i, " of ",
                   latches_.size());
-    Latch &latch = *latches_[i];
-    // call_once is the race arbiter: exactly one caller runs the
+    // The slot is the race arbiter: exactly one caller runs the
     // materializer, everyone else blocks until the stream is
-    // resident, and the write to traces_[i] happens-before every
-    // post-latch read.
-    std::call_once(latch.once, [&] {
-        traces_[i] = materializer_(specs_[i]);
-        latch.ready.store(true, std::memory_order_release);
-    });
+    // resident (or rethrows what the materializer threw), and the
+    // write to traces_[i] happens-before every post-latch read.
+    latches_[i]->build([&] { traces_[i] = materializer_(specs_[i]); });
 }
 
 bool
@@ -142,7 +138,7 @@ TraceStore::resident(std::size_t i) const
 {
     if (latches_.empty())
         return true;
-    return latches_[i]->ready.load(std::memory_order_acquire);
+    return latches_[i]->ready();
 }
 
 std::size_t

@@ -20,14 +20,13 @@
 #ifndef MLC_EXPT_WORKLOAD_SUITE_HH
 #define MLC_EXPT_WORKLOAD_SUITE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "expt/once_slot.hh"
 #include "trace/mem_ref.hh"
 
 namespace mlc {
@@ -70,9 +69,11 @@ std::vector<trace::MemRef> materialize(const TraceSpec &spec);
  *
  * Deferred mode (deferred()) postpones materialization to first
  * use: span(i) materializes trace i on demand behind a
- * once-per-trace latch, so two queries racing to load the same
- * trace produce exactly one generation pass and every concurrent
- * reader blocks until the stream is resident. This is what a
+ * once-per-trace latch (OnceSlot), so two queries racing to load the
+ * same trace produce exactly one generation pass and every
+ * concurrent reader blocks until the stream is resident. A
+ * materializer that throws is not retried: every span(i) of that
+ * trace rethrows what it threw. This is what a
  * long-running query server wants — startup touches nothing, the
  * first query for a workload pays its load, and everything after
  * replays resident state. Once a trace is resident its storage
@@ -114,7 +115,7 @@ class TraceStore
      *  replay consumer (timing simulator, one-pass engine, benches)
      *  should iterate. Materializes on first use in deferred mode;
      *  concurrent callers for the same trace block on the latch and
-     *  observe the identical stream. */
+     *  observe the identical stream, or the same exception. */
     trace::RefSpan
     span(std::size_t i) const
     {
@@ -134,14 +135,6 @@ class TraceStore
     void ensureAll(std::size_t jobs = 1) const;
 
   private:
-    /** Once-per-trace materialization latch. ready mirrors the
-     *  once_flag for wait-free resident() queries. */
-    struct Latch
-    {
-        std::once_flag once;
-        std::atomic<bool> ready{false};
-    };
-
     TraceStore(std::vector<TraceSpec> specs,
                std::vector<std::vector<trace::MemRef>> traces);
     TraceStore(std::vector<TraceSpec> specs, Materializer m);
@@ -153,7 +146,7 @@ class TraceStore
      *  under latches_[i] in deferred mode. */
     mutable std::vector<std::vector<trace::MemRef>> traces_;
     /** Empty for an eager store (everything resident). */
-    std::vector<std::unique_ptr<Latch>> latches_;
+    std::vector<std::unique_ptr<OnceSlot>> latches_;
     Materializer materializer_;
 };
 

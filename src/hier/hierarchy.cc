@@ -10,17 +10,9 @@ namespace hier {
 
 HierarchySimulator::HierarchySimulator(HierarchyParams params)
     : params_(params.finalized()),
-      cpuCycle_(nsToTicks(params_.cpuCycleNs)), front_(params_),
-      memory_(params_.memory)
+      cpuCycle_(nsToTicks(params_.cpuCycleNs)),
+      depth_(params_.levels.size()), memory_(params_.memory)
 {
-    for (std::size_t i = 0; i < params_.levels.size(); ++i) {
-        levels_.push_back(std::make_unique<cache::Cache>(
-            params_.levels[i], levelSeed(i)));
-        if (params_.measureSolo)
-            solo_.push_back(std::make_unique<cache::Cache>(
-                params_.levels[i], soloSeed(i)));
-    }
-
     // Bus i feeds levels_[i] and cycles at that level's rate; the
     // backplane cycles at the rate of the deepest cache (or the CPU
     // when there are no downstream caches).
@@ -41,10 +33,10 @@ HierarchySimulator::HierarchySimulator(HierarchyParams params)
         wb_.push_back(std::make_unique<mem::WriteBuffer>(
             params_.writeBufferDepth));
 
-    readReqs_.assign(levels_.size(), 0);
-    readMisses_.assign(levels_.size(), 0);
-    levelOutcomes_.resize(levels_.size());
-    victimOutcomes_.resize(levels_.size());
+    readReqs_.assign(depth_, 0);
+    readMisses_.assign(depth_, 0);
+    levelOutcomes_.resize(depth_);
+    victimOutcomes_.resize(depth_);
 
     cpuCycleDiv_ = FixedDivisor(cpuCycle_);
     const cache::CacheParams &iside =
@@ -64,6 +56,204 @@ HierarchySimulator::HierarchySimulator(HierarchyParams params)
             params_.levels[i].writeCycles * cycle);
     }
 }
+
+void
+HierarchySimulator::buildCaches(bool front)
+{
+    if (levels_.empty()) {
+        for (std::size_t i = 0; i < depth_; ++i) {
+            levels_.push_back(std::make_unique<cache::Cache>(
+                params_.levels[i], levelSeed(i)));
+            if (params_.measureSolo)
+                solo_.push_back(std::make_unique<cache::Cache>(
+                    params_.levels[i], soloSeed(i)));
+        }
+    }
+    if (front && !front_)
+        front_.emplace(params_);
+}
+
+void
+HierarchySimulator::setReadHitFastPath(bool enabled)
+{
+    buildCaches(true);
+    front_->setFastPath(enabled);
+}
+
+const cache::Cache &
+HierarchySimulator::level(std::size_t i) const
+{
+    if (i >= levels_.size())
+        mlc_panic("level ", i, " of a simulator with ", levels_.size(),
+                  " built caches");
+    return *levels_[i];
+}
+
+/** The live caches answer the probes. One outcome buffer per level:
+ *  the recursion at level i iterates its own while deeper levels
+ *  fill theirs. */
+class HierarchySimulator::LiveLevels
+{
+  public:
+    explicit LiveLevels(HierarchySimulator &sim) : sim_(sim) {}
+
+    const cache::AccessOutcome &
+    read(std::size_t i, Addr addr)
+    {
+        cache::AccessOutcome &outcome = sim_.levelOutcomes_[i];
+        sim_.levels_[i]->access(trace::makeLoad(addr), outcome);
+        return outcome;
+    }
+
+    bool
+    absorbWrite(std::size_t i, Addr base)
+    {
+        return sim_.levels_[i]->absorbWrite(base);
+    }
+
+    const cache::AccessOutcome &
+    allocate(std::size_t i, Addr base)
+    {
+        cache::AccessOutcome &outcome = sim_.victimOutcomes_[i];
+        sim_.levels_[i]->absorbWriteAllocate(base, outcome);
+        return outcome;
+    }
+
+  private:
+    HierarchySimulator &sim_;
+};
+
+/** The live caches answer the probes, and each answer goes on a
+ *  tape too. */
+class HierarchySimulator::RecordingLevels
+{
+  public:
+    RecordingLevels(HierarchySimulator &sim, LevelTape &tape)
+        : live_(sim), tape_(tape)
+    {
+    }
+
+    const cache::AccessOutcome &
+    read(std::size_t i, Addr addr)
+    {
+        const cache::AccessOutcome &outcome = live_.read(i, addr);
+        tape_.pushProbe(outcome.hit);
+        if (!outcome.hit)
+            tape_.pushMiss(i, addr, outcome.fills, outcome.writebacks);
+        return outcome;
+    }
+
+    bool
+    absorbWrite(std::size_t i, Addr base)
+    {
+        const bool hit = live_.absorbWrite(i, base);
+        tape_.pushProbe(hit);
+        return hit;
+    }
+
+    const cache::AccessOutcome &
+    allocate(std::size_t i, Addr base)
+    {
+        const cache::AccessOutcome &outcome = live_.allocate(i, base);
+        tape_.pushMiss(i, base, outcome.fills, outcome.writebacks);
+        return outcome;
+    }
+
+  private:
+    LiveLevels live_;
+    LevelTape &tape_;
+};
+
+/** A recorded tape answers the probes, in the order they were
+ *  recorded; no cache is read. */
+class HierarchySimulator::TapeLevels
+{
+  public:
+    /** One probe's answer, viewing the tape's arrays. */
+    struct Outcome
+    {
+        bool hit = false;
+        std::span<const Addr> fills;
+        std::span<const cache::WritebackReq> writebacks;
+    };
+
+    explicit TapeLevels(const LevelTape &tape)
+        : tape_(tape), readDemand_(tape.params_.levels.size()),
+          allocDemand_(tape.params_.levels.size())
+    {
+    }
+
+    Outcome
+    read(std::size_t i, Addr addr)
+    {
+        if (nextHit())
+            return {true, {}, {}};
+        return nextMiss(i, addr, readDemand_[i]);
+    }
+
+    bool absorbWrite(std::size_t, Addr) { return nextHit(); }
+
+    Outcome
+    allocate(std::size_t i, Addr base)
+    {
+        return nextMiss(i, base, allocDemand_[i]);
+    }
+
+    /** Every recorded probe and miss has been replayed. */
+    bool
+    atEnd() const
+    {
+        return probe_ == tape_.probes_ && miss_ == tape_.shapes_.size();
+    }
+
+  private:
+    bool
+    nextHit()
+    {
+        if (probe_ == tape_.probes_)
+            mlc_panic("replayTimeline: the tape ran out of probes");
+        const bool hit =
+            ((tape_.hitBits_[probe_ / 64] >> (probe_ % 64)) & 1) != 0;
+        ++probe_;
+        return hit;
+    }
+
+    /** The next miss, at level @p i for @p addr; an implied demand
+     *  fill goes in @p demand, which a read and an allocation at one
+     *  level keep apart, as the live caches' outcome buffers do. */
+    Outcome
+    nextMiss(std::size_t i, Addr addr, Addr &demand)
+    {
+        if (miss_ == tape_.shapes_.size())
+            mlc_panic("replayTimeline: the tape ran out of misses");
+        const std::uint8_t shape = tape_.shapes_[miss_++];
+        const LevelTape::Miss miss =
+            shape == LevelTape::kWide
+                ? tape_.wide_[wide_++]
+                : LevelTape::Miss{shape / 16u, shape % 16u};
+        Outcome outcome;
+        if (miss.fills == 0) {
+            demand = tape_.demandBlock(i, addr);
+            outcome.fills = {&demand, 1};
+        } else {
+            outcome.fills = {tape_.fills_.data() + fill_, miss.fills};
+            fill_ += miss.fills;
+        }
+        outcome.writebacks = {tape_.writebacks_.data() + victim_,
+                              miss.writebacks};
+        victim_ += miss.writebacks;
+        return outcome;
+    }
+
+    const LevelTape &tape_;
+    std::vector<Addr> readDemand_;  //!< per level
+    std::vector<Addr> allocDemand_; //!< per level
+    std::uint64_t probe_ = 0;
+    std::size_t miss_ = 0;
+    std::size_t wide_ = 0;
+    std::size_t fill_ = 0;
+    std::size_t victim_ = 0;
+};
 
 Tick
 HierarchySimulator::tagCheckTicks(std::size_t i) const
@@ -91,12 +281,14 @@ HierarchySimulator::writeService(std::size_t i,
            (beats - 1) * buses_[i].cycleTime();
 }
 
+template <typename Levels>
 Tick
-HierarchySimulator::downstreamRead(std::size_t i, Addr addr,
-                                   std::uint64_t bytes, Tick start,
-                                   bool count_read, bool timed)
+HierarchySimulator::downstreamRead(Levels &levels, std::size_t i,
+                                   Addr addr, std::uint64_t bytes,
+                                   Tick start, bool count_read,
+                                   bool timed)
 {
-    if (i == levels_.size()) {
+    if (i == depth_) {
         if (boundaryRec_)
             boundaryRec_->push_back(
                 {addr, static_cast<std::uint32_t>(bytes),
@@ -111,13 +303,9 @@ HierarchySimulator::downstreamRead(std::size_t i, Addr addr,
         return wb_[i]->read(start, addr, bytes, op).done;
     }
 
-    cache::Cache &c = *levels_[i];
-    cache::AccessOutcome &outcome = levelOutcomes_[i];
     if (count_read)
         ++readReqs_[i];
-
-    trace::MemRef req = trace::makeLoad(addr);
-    c.access(req, outcome);
+    const auto &outcome = levels.read(i, addr);
 
     if (outcome.hit) {
         if (!timed)
@@ -136,14 +324,16 @@ HierarchySimulator::downstreamRead(std::size_t i, Addr addr,
         const mem::WriteBuffer::Op op{tag, tag};
         miss_known = wb_[i]->read(start, addr, bytes, op).done;
     }
-    return fillFromBelow(i + 1, outcome.fills, outcome.writebacks,
-                         c.params().fillRequestBytes(), miss_known,
+    return fillFromBelow(levels, i + 1, outcome.fills,
+                         outcome.writebacks,
+                         params_.levels[i].fillRequestBytes(), miss_known,
                          count_read, timed);
 }
 
+template <typename Levels>
 Tick
 HierarchySimulator::fillFromBelow(
-    std::size_t i, std::span<const Addr> fills,
+    Levels &levels, std::size_t i, std::span<const Addr> fills,
     std::span<const cache::WritebackReq> writebacks,
     std::uint64_t up_block_bytes, Tick start, bool count_read,
     bool timed)
@@ -154,7 +344,7 @@ HierarchySimulator::fillFromBelow(
     Tick demand_ready = start;
     bool first = true;
     for (Addr fill : fills) {
-        const Tick r = downstreamRead(i, fill, up_block_bytes,
+        const Tick r = downstreamRead(levels, i, fill, up_block_bytes,
                                       first ? start : demand_ready,
                                       count_read && first, timed);
         if (first) {
@@ -166,18 +356,19 @@ HierarchySimulator::fillFromBelow(
     Tick ready = demand_ready;
     for (const cache::WritebackReq &victim : writebacks) {
         const Tick proceed = queueDownstreamWrite(
-            i, victim.base, victim.bytes, demand_ready, timed);
+            levels, i, victim.base, victim.bytes, demand_ready, timed);
         ready = std::max(ready, proceed);
     }
     return ready;
 }
 
+template <typename Levels>
 Tick
-HierarchySimulator::queueDownstreamWrite(std::size_t i, Addr base,
-                                         std::uint64_t bytes,
+HierarchySimulator::queueDownstreamWrite(Levels &levels, std::size_t i,
+                                         Addr base, std::uint64_t bytes,
                                          Tick start, bool timed)
 {
-    if (i == levels_.size()) {
+    if (i == depth_) {
         if (boundaryRec_)
             boundaryRec_->push_back(
                 {base, static_cast<std::uint32_t>(bytes),
@@ -192,24 +383,23 @@ HierarchySimulator::queueDownstreamWrite(std::size_t i, Addr base,
         return wb_[i]->queueWrite(start, base, bytes, op);
     }
 
-    cache::Cache &c = *levels_[i];
-    const bool hit = c.absorbWrite(base);
+    const cache::CacheParams &level = params_.levels[i];
+    const bool hit = levels.absorbWrite(i, base);
     if (!hit) {
-        if (c.params().downstreamWriteMiss ==
+        if (level.downstreamWriteMiss ==
             cache::DownstreamWriteMissPolicy::Around) {
-            return queueDownstreamWrite(i + 1, base, bytes, start,
-                                        timed);
+            return queueDownstreamWrite(levels, i + 1, base, bytes,
+                                        start, timed);
         }
         // Allocate: fetch the enclosing block from below, install
         // it dirty, then complete the write locally. The fetch is
         // demand traffic on the lower timeline but does not stall
         // the original requester beyond the local queueing.
-        cache::AccessOutcome &outcome = victimOutcomes_[i];
-        c.absorbWriteAllocate(base, outcome);
+        const auto &outcome = levels.allocate(i, base);
         Tick fetched = start;
         for (Addr fill : outcome.fills)
             fetched = downstreamRead(
-                i + 1, fill, c.params().fillRequestBytes(), start,
+                levels, i + 1, fill, level.fillRequestBytes(), start,
                 false, timed);
         Tick proceed = fetched;
         if (timed) {
@@ -221,7 +411,7 @@ HierarchySimulator::queueDownstreamWrite(std::size_t i, Addr base,
              outcome.writebacks)
             proceed = std::max(proceed,
                                queueDownstreamWrite(
-                                   i + 1, victim.base,
+                                   levels, i + 1, victim.base,
                                    victim.bytes, fetched, timed));
         return timed ? proceed : start;
     }
@@ -232,10 +422,10 @@ HierarchySimulator::queueDownstreamWrite(std::size_t i, Addr base,
         const mem::WriteBuffer::Op op{service, service};
         proceed = wb_[i]->queueWrite(start, base, bytes, op);
     }
-    if (c.params().writePolicy == cache::WritePolicy::WriteThrough) {
-        proceed = std::max(
-            proceed,
-            queueDownstreamWrite(i + 1, base, bytes, start, timed));
+    if (level.writePolicy == cache::WritePolicy::WriteThrough) {
+        proceed = std::max(proceed,
+                           queueDownstreamWrite(levels, i + 1, base,
+                                                bytes, start, timed));
     }
     return proceed;
 }
@@ -247,8 +437,9 @@ HierarchySimulator::soloReplay(const trace::MemRef &ref)
         solo->access(ref, soloOutcome_);
 }
 
+template <typename Levels>
 void
-HierarchySimulator::handleMiss(const trace::MemRef &ref,
+HierarchySimulator::handleMiss(Levels &levels, const trace::MemRef &ref,
                                const Departure &group, bool timed)
 {
     // Every ifetch costs its CPU cycle, hit or miss.
@@ -261,7 +452,7 @@ HierarchySimulator::handleMiss(const trace::MemRef &ref,
         const Tick miss_start = now_;
         const std::uint64_t mem_reads_before = memReads_;
         const Tick ready = fillFromBelow(
-            0, group.fills, group.writebacks,
+            levels, 0, group.fills, group.writebacks,
             ref.isInst() ? l1iFillBytes_ : l1dFillBytes_, now_, true,
             timed);
         if (timed) {
@@ -284,12 +475,12 @@ HierarchySimulator::handleMiss(const trace::MemRef &ref,
     // A store leaving L1: fills and victims, then a forwarded store.
     Tick ready = now_;
     if (!group.fills.empty() || !group.writebacks.empty())
-        ready = fillFromBelow(0, group.fills, group.writebacks,
+        ready = fillFromBelow(levels, 0, group.fills, group.writebacks,
                               l1dFillBytes_, now_, false, timed);
     if (group.forwardWrite) {
         const Addr word_base = ref.addr & ~Addr{3};
         const Tick proceed = queueDownstreamWrite(
-            0, word_base, ref.size, ready, timed);
+            levels, 0, word_base, ref.size, ready, timed);
         ready = std::max(ready, proceed);
     }
     if (timed) {
@@ -300,45 +491,126 @@ HierarchySimulator::handleMiss(const trace::MemRef &ref,
     }
 }
 
-void
-HierarchySimulator::replayLog(const FrontLog &log)
+inline void
+HierarchySimulator::handleRef(const trace::MemRef &ref, bool timed)
 {
+    // Solo co-simulation sees the raw CPU stream.
     if (!solo_.empty())
-        mlc_panic("replayLog with solo co-simulation active: solo "
-                  "arrays replay the raw CPU stream, which a "
-                  "FrontLog does not keep");
-    if (!sameFunctionalL1(log.params(), params_))
-        mlc_panic("replayLog: the log was recorded on another L1");
+        soloReplay(ref);
+
+    switch (front_->step(ref)) {
+      case L1Front::Step::ReadHit:
+        if (timed) {
+            if (ref.isInst())
+                chargeHits({1, 0, 0});
+            else
+                chargeHits({0, 1, 0});
+        }
+        return;
+      case L1Front::Step::StoreHit:
+        if (timed)
+            chargeHits({0, 0, 1});
+        return;
+      case L1Front::Step::ReadMiss:
+      case L1Front::Step::StoreDown: {
+        const cache::AccessOutcome &out = front_->outcome();
+        LiveLevels live(*this);
+        handleMiss(live, ref, {out.fills, out.writebacks, out.forwardWrite},
+                   timed);
+        return;
+      }
+    }
+}
+
+template <typename Levels>
+void
+HierarchySimulator::departRecords(Levels &levels, const FrontLog &log,
+                                  std::size_t begin, std::size_t end,
+                                  std::size_t fill, std::size_t victim,
+                                  bool timed)
+{
     const std::span<const Addr> fills = log.fills();
     const std::span<const cache::WritebackReq> victims =
         log.writebacks();
-    std::size_t f = 0;
-    std::size_t v = 0;
-    const auto depart = [&](const FrontLog::Record &rec, bool timed) {
+    const std::vector<FrontLog::Record> &records = log.records();
+    for (std::size_t i = begin; i < end; ++i) {
+        const FrontLog::Record &rec = records[i];
+        if (timed)
+            chargeHits(rec.hits);
         if (!rec.departs)
-            return;
-        handleMiss({rec.addr, rec.type, rec.size, 0},
-                   {fills.subspan(f, rec.fills),
-                    victims.subspan(v, rec.writebacks),
+            continue;
+        handleMiss(levels, {rec.addr, rec.type, rec.size, 0},
+                   {fills.subspan(fill, rec.fills),
+                    victims.subspan(victim, rec.writebacks),
                     rec.forwardWrite},
                    timed);
-        f += rec.fills;
-        v += rec.writebacks;
-    };
-
-    const std::vector<FrontLog::Record> &records = log.records();
-    for (std::size_t i = 0; i < log.boundary(); ++i)
-        depart(records[i], false);
-    resetAllCounts();
-    for (std::size_t i = log.boundary(); i < records.size(); ++i) {
-        chargeHits(records[i].hits);
-        depart(records[i], true);
+        fill += rec.fills;
+        victim += rec.writebacks;
     }
+}
+
+template <typename Levels>
+void
+HierarchySimulator::replayMeasured(Levels &levels, const FrontLog &log)
+{
+    resetAllCounts();
+    departRecords(levels, log, log.boundary(), log.records().size(),
+                  log.boundaryFills(), log.boundaryWritebacks(), true);
     chargeHits(log.tail());
 
     const L1Counts &c = log.counts();
     refsRun_ = c.instructions + c.loads + c.stores;
     loggedL1_ = c;
+}
+
+void
+HierarchySimulator::checkLog(const FrontLog &log, const char *caller) const
+{
+    if (params_.measureSolo)
+        mlc_panic(caller, " with solo co-simulation active: solo "
+                  "arrays replay the raw CPU stream, which a "
+                  "FrontLog does not keep");
+    if (!sameFunctionalL1(log.params(), params_))
+        mlc_panic(caller, ": the log was recorded on another L1");
+}
+
+void
+HierarchySimulator::replayLog(const FrontLog &log, LevelTape *record)
+{
+    checkLog(log, "replayLog");
+    buildCaches(false);
+    LiveLevels live(*this);
+    departRecords(live, log, 0, log.boundary(), 0, 0, false);
+    if (!record) {
+        replayMeasured(live, log);
+        return;
+    }
+    *record = LevelTape();
+    record->params_ = params_;
+    record->log_ = &log;
+    RecordingLevels recording(*this, *record);
+    replayMeasured(recording, log);
+    for (const auto &level : levels_)
+        record->levelWritebacks_.push_back(level->counts().writebacks);
+}
+
+void
+HierarchySimulator::replayTimeline(const FrontLog &log,
+                                   const LevelTape &tape)
+{
+    checkLog(log, "replayTimeline");
+    if (tape.log_ != &log)
+        mlc_panic("replayTimeline: the tape was recorded over another "
+                  "FrontLog");
+    if (!sameFunctionalHierarchy(tape.params_, params_))
+        mlc_panic("replayTimeline: the tape was recorded on another "
+                  "hierarchy");
+    TapeLevels taped(tape);
+    replayMeasured(taped, log);
+    if (!taped.atEnd())
+        mlc_panic("replayTimeline: the log left part of the tape "
+                  "unread");
+    tapedWritebacks_ = tape.levelWritebacks_;
 }
 
 FrontLog::FrontLog(const HierarchyParams &params, trace::RefSpan refs,
@@ -386,6 +658,8 @@ FrontLog::FrontLog(const HierarchyParams &params, trace::RefSpan refs,
     };
     record(refs.first(warmup_refs));
     boundary_ = records_.size();
+    boundaryFills_ = fills_.size();
+    boundaryWritebacks_ = writebacks_.size();
     front.resetCounts();
     run = {};
     record(refs.dropFirst(warmup_refs));
@@ -398,6 +672,7 @@ std::uint64_t
 HierarchySimulator::replay(trace::TraceSource &source,
                            std::uint64_t max_refs)
 {
+    buildCaches(true);
     trace::MemRef buf[kReplayBatch];
     std::uint64_t n = 0;
     while (n < max_refs) {
@@ -417,6 +692,7 @@ template <bool Timed>
 void
 HierarchySimulator::replay(trace::RefSpan refs)
 {
+    buildCaches(true);
     for (const trace::MemRef &ref : refs)
         handleRef(ref, Timed);
 }
@@ -466,7 +742,8 @@ HierarchySimulator::run(trace::RefSpan refs)
 void
 HierarchySimulator::resetAllCounts()
 {
-    front_.resetCounts();
+    if (front_)
+        front_->resetCounts();
     refsRun_ = 0;
     std::fill(readReqs_.begin(), readReqs_.end(), 0);
     std::fill(readMisses_.begin(), readMisses_.end(), 0);
@@ -492,24 +769,27 @@ HierarchySimulator::captureWarmState(SnapshotArena &arena,
                                      WarmSnapshot &snap,
                                      std::size_t prefix_levels) const
 {
-    if (prefix_levels > levels_.size())
+    if (prefix_levels > depth_)
         mlc_panic("captureWarmState prefix depth ", prefix_levels,
-                  " exceeds hierarchy depth ", levels_.size());
-    if (!solo_.empty())
+                  " exceeds hierarchy depth ", depth_);
+    if (params_.measureSolo)
         mlc_panic("captureWarmState with solo co-simulation "
                   "active: solo arrays replay the raw CPU stream "
                   "and cannot be rebuilt from boundary traffic");
+    if (!front_)
+        mlc_panic("captureWarmState before any replay over raw "
+                  "references: there is no L1 state");
     snap.splitL1 = params_.splitL1;
     snap.prefixLevels = prefix_levels;
-    if (front_.l1i_)
-        front_.l1i_->captureState(arena, snap.l1i);
-    front_.l1d_->captureState(arena, snap.l1d);
+    if (front_->l1i_)
+        front_->l1i_->captureState(arena, snap.l1i);
+    front_->l1d_->captureState(arena, snap.l1d);
     snap.levels.resize(prefix_levels);
     for (std::size_t i = 0; i < prefix_levels; ++i)
         levels_[i]->captureState(arena, snap.levels[i]);
-    snap.instructions = front_.instructions_;
-    snap.loads = front_.loads_;
-    snap.stores = front_.stores_;
+    snap.instructions = front_->instructions_;
+    snap.loads = front_->loads_;
+    snap.stores = front_->stores_;
     snap.refsRun = refsRun_;
     snap.l1ReadMissCount = l1ReadMissCount_;
     snap.readReqs.assign(readReqs_.begin(),
@@ -531,21 +811,22 @@ HierarchySimulator::restoreWarmState(const SnapshotArena &arena,
                   snap.splitL1 ? "split" : "unified",
                   ", simulator ",
                   params_.splitL1 ? "split" : "unified");
-    if (snap.prefixLevels > levels_.size())
+    if (snap.prefixLevels > depth_)
         mlc_panic("restoreWarmState snapshot prefix depth ",
                   snap.prefixLevels, " exceeds hierarchy depth ",
-                  levels_.size());
-    if (!solo_.empty())
+                  depth_);
+    if (params_.measureSolo)
         mlc_panic("restoreWarmState with solo co-simulation "
                   "active");
-    if (front_.l1i_)
-        front_.l1i_->restoreState(arena, snap.l1i);
-    front_.l1d_->restoreState(arena, snap.l1d);
+    buildCaches(true);
+    if (front_->l1i_)
+        front_->l1i_->restoreState(arena, snap.l1i);
+    front_->l1d_->restoreState(arena, snap.l1d);
     for (std::size_t i = 0; i < snap.prefixLevels; ++i)
         levels_[i]->restoreState(arena, snap.levels[i]);
-    front_.instructions_ = snap.instructions;
-    front_.loads_ = snap.loads;
-    front_.stores_ = snap.stores;
+    front_->instructions_ = snap.instructions;
+    front_->loads_ = snap.loads;
+    front_->stores_ = snap.stores;
     refsRun_ = snap.refsRun;
     l1ReadMissCount_ = snap.l1ReadMissCount;
     for (std::size_t i = 0; i < snap.prefixLevels; ++i) {
@@ -558,16 +839,18 @@ std::uint64_t
 HierarchySimulator::replayBoundary(std::size_t level,
                                    const std::vector<BoundaryOp> &ops)
 {
-    if (level > levels_.size())
+    if (level > depth_)
         mlc_panic("replayBoundary at level ", level,
-                  " of a hierarchy with ", levels_.size(),
+                  " of a hierarchy with ", depth_,
                   " downstream levels");
+    buildCaches(false);
+    LiveLevels live(*this);
     for (const BoundaryOp &op : ops) {
         if (op.kind == BoundaryOp::Kind::Read)
-            downstreamRead(level, op.addr, op.bytes, 0,
+            downstreamRead(live, level, op.addr, op.bytes, 0,
                            op.countRead, false);
         else
-            queueDownstreamWrite(level, op.addr, op.bytes, 0,
+            queueDownstreamWrite(live, level, op.addr, op.bytes, 0,
                                  false);
     }
     return ops.size();
@@ -597,6 +880,14 @@ sameFunctionalL1(const HierarchyParams &a, const HierarchyParams &b)
 }
 
 bool
+sameFunctionalHierarchy(const HierarchyParams &a,
+                        const HierarchyParams &b)
+{
+    return sameFunctionalL1(a, b) && a.levels.size() == b.levels.size() &&
+           sharedFunctionalPrefix(a, b) == a.levels.size();
+}
+
+bool
 warmCompatible(const HierarchyParams &a, const HierarchyParams &b)
 {
     return !a.measureSolo && !b.measureSolo && sameFunctionalL1(a, b);
@@ -605,7 +896,9 @@ warmCompatible(const HierarchyParams &a, const HierarchyParams &b)
 SimResults
 HierarchySimulator::results() const
 {
-    const L1Counts l1c = loggedL1_ ? *loggedL1_ : front_.counts();
+    const L1Counts l1c = loggedL1_ ? *loggedL1_
+                         : front_  ? front_->counts()
+                                   : L1Counts{};
     SimResults r;
     r.instructions = l1c.instructions;
     r.cpuReads = l1c.instructions + l1c.loads;
@@ -665,12 +958,15 @@ HierarchySimulator::results() const
         side(params_.l1d.name, l1c.l1d);
     }
 
-    for (std::size_t i = 0; i < levels_.size(); ++i) {
+    for (std::size_t i = 0; i < depth_; ++i) {
         LevelResults lvl;
-        lvl.name = levels_[i]->params().name;
+        lvl.name = params_.levels[i].name;
         lvl.readRequests = readReqs_[i];
         lvl.readMisses = readMisses_[i];
-        lvl.writebacks = levels_[i]->counts().writebacks;
+        lvl.writebacks = tapedWritebacks_ ? (*tapedWritebacks_)[i]
+                         : levels_.empty()
+                             ? 0
+                             : levels_[i]->counts().writebacks;
         lvl.localMissRatio =
             readReqs_[i] == 0
                 ? 0.0
@@ -681,7 +977,8 @@ HierarchySimulator::results() const
                 ? 0.0
                 : static_cast<double>(readMisses_[i]) / cpu_reads;
         if (params_.measureSolo)
-            lvl.soloMissRatio = solo_[i]->counts().readMissRatio();
+            lvl.soloMissRatio =
+                solo_.empty() ? 0.0 : solo_[i]->counts().readMissRatio();
         r.levels.push_back(lvl);
     }
 

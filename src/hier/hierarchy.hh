@@ -323,6 +323,11 @@ class FrontLog
     const std::vector<Record> &records() const { return records_; }
     /** Records [0, boundary()) precede the warm boundary. */
     std::size_t boundary() const { return boundary_; }
+    /** @{ @name Where the boundary() record's fills and victims
+     *  start */
+    std::size_t boundaryFills() const { return boundaryFills_; }
+    std::size_t boundaryWritebacks() const { return boundaryWritebacks_; }
+    /** @} */
     /** Hits after the last record, all past the boundary. */
     const HitRun &tail() const { return tail_; }
     /** The front's counters after the warm boundary. */
@@ -342,8 +347,103 @@ class FrontLog
     std::vector<Addr> fills_;
     std::vector<cache::WritebackReq> writebacks_;
     std::size_t boundary_ = 0;
+    std::size_t boundaryFills_ = 0;
+    std::size_t boundaryWritebacks_ = 0;
     HitRun tail_;
     L1Counts counts_;
+};
+
+/**
+ * What the cache levels below L1 did while one machine replayed the
+ * measured records of one FrontLog (those past its warm boundary):
+ * for every probe of a downstream level, in the order the back end
+ * makes them, whether it hit; for each read miss and each write miss
+ * that allocates, its fills and dirty victims; and each level's
+ * write-back count at the end.
+ *
+ * Those are functional decisions. They depend on the log and on the
+ * levels' functional parameters, never on a cycle time, a bus width,
+ * the write buffers or memory timing (sameFunctionalHierarchy). So
+ * HierarchySimulator::replayLog() records a tape during one timed
+ * run, and replayTimeline() prices any machine of the same
+ * functional hierarchy from the (log, tape) pair: it walks the same
+ * back end, takes each probe's answer from the tape, and computes
+ * only the timeline. A tape holds a bit per probe and, per miss, a
+ * byte plus the fills and victims; a fill is stored only when it is
+ * not the demand block of the probed address. The grid suite makes
+ * about 0.155 probes per measured reference at the base machine's
+ * L2s.
+ */
+class LevelTape
+{
+    /** Records a tape and replays it; nothing else reads one. */
+    friend class HierarchySimulator;
+
+    /** A miss's counts: its fills stored in fills_ (0 when its one
+     *  fill is the demand block, which the probe's address
+     *  implies) and its victims in writebacks_. */
+    struct Miss
+    {
+        std::uint32_t fills = 0;
+        std::uint32_t writebacks = 0;
+    };
+
+    /** The shape byte of a miss whose counts are in wide_; any
+     *  other holds the stored fills (< 15) times 16 plus the
+     *  victims (< 16). */
+    static constexpr std::uint8_t kWide = 0xff;
+
+    /** The block a miss at level @p level fetches for @p addr
+     *  first, as cache::Cache fills it. */
+    Addr
+    demandBlock(std::size_t level, Addr addr) const
+    {
+        const Addr bytes = params_.levels[level].fillRequestBytes();
+        return addr & ~(bytes - 1);
+    }
+
+    void
+    pushProbe(bool hit)
+    {
+        if (probes_ % 64 == 0)
+            hitBits_.push_back(0);
+        if (hit)
+            hitBits_.back() |= std::uint64_t{1} << (probes_ % 64);
+        ++probes_;
+    }
+
+    void
+    pushMiss(std::size_t level, Addr addr, std::span<const Addr> fills,
+             std::span<const cache::WritebackReq> writebacks)
+    {
+        const bool implied =
+            fills.size() == 1 && fills[0] == demandBlock(level, addr);
+        const Miss miss{
+            implied ? 0u : static_cast<std::uint32_t>(fills.size()),
+            static_cast<std::uint32_t>(writebacks.size())};
+        if (miss.fills < 15 && miss.writebacks < 16) {
+            shapes_.push_back(static_cast<std::uint8_t>(
+                miss.fills * 16 + miss.writebacks));
+        } else {
+            shapes_.push_back(kWide);
+            wide_.push_back(miss);
+        }
+        if (!implied)
+            fills_.insert(fills_.end(), fills.begin(), fills.end());
+        writebacks_.insert(writebacks_.end(), writebacks.begin(),
+                           writebacks.end());
+    }
+
+    HierarchyParams params_; //!< the machine it was recorded on
+    /** The log it was recorded over: compared, never dereferenced. */
+    const FrontLog *log_ = nullptr;
+    std::uint64_t probes_ = 0;
+    std::vector<std::uint64_t> hitBits_; //!< bit k: probe k hit
+    std::vector<std::uint8_t> shapes_;   //!< one per miss
+    std::vector<Miss> wide_;
+    std::vector<Addr> fills_;
+    std::vector<cache::WritebackReq> writebacks_;
+    std::vector<std::uint64_t> levelWritebacks_; //!< at the end
 };
 
 /** Trace-driven, cycle-accounting hierarchy simulator. */
@@ -403,16 +503,30 @@ class HierarchySimulator
      * departure goes to the same back end the raw replay uses.
      * Results, L1 counts included (taken from the log), equal
      * warmUp() + run() over the span the log was recorded from.
-     * Call it on a fresh simulator, in place of those two. Panics
-     * when the log's L1 is not functionally this machine's, and
-     * when a solo co-simulation is active (solo arrays replay the
-     * raw CPU stream, which a log does not keep).
+     * Call it on a fresh simulator, in place of those two. With
+     * @p record, the timed part also records what the levels below
+     * L1 did into it (replacing its contents), for replayTimeline().
+     * Panics when the log's L1 is not functionally this machine's,
+     * and when a solo co-simulation is active (solo arrays replay
+     * the raw CPU stream, which a log does not keep).
      */
-    void replayLog(const FrontLog &log);
+    void replayLog(const FrontLog &log, LevelTape *record = nullptr);
+
+    /**
+     * Replay @p log's measured records with every downstream probe
+     * answered by @p tape, recorded by replayLog() over the same log
+     * on a machine of this functional hierarchy: only the timeline
+     * runs (hit runs, write buffers, buses, memory, cycle rounding).
+     * Results equal replayLog(log) on this machine. Call it on a
+     * fresh simulator; it builds no cache. Panics when the tape was
+     * recorded over another log or on another functional hierarchy,
+     * and when a solo co-simulation is active.
+     */
+    void replayTimeline(const FrontLog &log, const LevelTape &tape);
 
     /** Disable/re-enable the L1 front's hit fast paths; results
      *  do not depend on it (L1Front::setFastPath). */
-    void setReadHitFastPath(bool enabled) { front_.setFastPath(enabled); }
+    void setReadHitFastPath(bool enabled);
 
     /** Measurements over everything run() has simulated. */
     SimResults results() const;
@@ -425,10 +539,11 @@ class HierarchySimulator
      * counters — into the arena; restoreWarmState() copies it back.
      * Both panic when a solo co-simulation is active (solo arrays
      * see the raw CPU stream and cannot be reconstructed from
-     * boundary traffic), and restore panics when the snapshot's
-     * shape does not match this simulator (different splitL1, a
-     * deeper prefix than this hierarchy, or per-level geometry
-     * mismatch via TagArray::restoreState).
+     * boundary traffic), capture panics before any replay over raw
+     * references has built the L1s, and restore panics when the
+     * snapshot's shape does not match this simulator (different
+     * splitL1, a deeper prefix than this hierarchy, or per-level
+     * geometry mismatch via TagArray::restoreState).
      */
     void captureWarmState(SnapshotArena &arena, WarmSnapshot &snap,
                           std::size_t prefix_levels) const;
@@ -460,17 +575,20 @@ class HierarchySimulator
 
     /** @{ @name Component access (tests, stats reporting) */
     const HierarchyParams &params() const { return params_; }
-    std::size_t levelCount() const { return levels_.size(); }
-    const cache::Cache &level(std::size_t i) const
-    {
-        return *levels_[i];
-    }
+    std::size_t levelCount() const { return depth_; }
+    /** Downstream cache @p i; panics before a replay has built it
+     *  (replayTimeline() never does). */
+    const cache::Cache &level(std::size_t i) const;
     const mem::WriteBuffer &writeBuffer(std::size_t i) const
     {
         return *wb_[i];
     }
     Tick now() const { return now_; }
-    std::uint64_t instructionCount() const { return front_.instructions(); }
+    std::uint64_t
+    instructionCount() const
+    {
+        return front_ ? front_->instructions() : 0;
+    }
     Tick cpuCycleTicks() const { return cpuCycle_; }
     std::uint64_t memoryReads() const { return memReads_; }
     std::uint64_t memoryWrites() const { return memWrites_; }
@@ -485,13 +603,23 @@ class HierarchySimulator
     /** @} */
 
   private:
+    /** @{ @name Where the back end's probes get their answers: the
+     *  live caches, the live caches while a LevelTape records them,
+     *  or a recorded tape. Each answers read(i, addr),
+     *  absorbWrite(i, base) and allocate(i, base) in the order the
+     *  recursion below probes level i. */
+    class LiveLevels;
+    class RecordingLevels;
+    class TapeLevels;
+    /** @} */
+
     /**
      * Apply one CPU reference; advances now_ when timed.
      *
-     * Defined inline below the class: the front's hit fast paths
-     * and the hit cycles then inline straight into the replay
-     * loops, so the ~90% of references that hit in L1 never leave
-     * the loop body.
+     * Defined inline above the replay loops in hierarchy.cc: the
+     * front's hit fast paths and the hit cycles then inline straight
+     * into them, so the ~90% of references that hit in L1 never
+     * leave the loop body.
      */
     void handleRef(const trace::MemRef &ref, bool timed);
 
@@ -520,25 +648,52 @@ class HierarchySimulator
      * L1 and, when timed, charge an ifetch's CPU cycle and the
      * stall.
      */
-    void handleMiss(const trace::MemRef &ref, const Departure &group,
-                    bool timed);
+    template <typename Levels>
+    void handleMiss(Levels &levels, const trace::MemRef &ref,
+                    const Departure &group, bool timed);
 
-    /** The replay loops every public entry point shares. */
+    /** The replay loops every raw entry point shares. */
     template <bool Timed>
     std::uint64_t replay(trace::TraceSource &source,
                          std::uint64_t max_refs);
     template <bool Timed>
     void replay(trace::RefSpan refs);
 
+    /** Send records [@p begin, @p end) of @p log below L1, their
+     *  hit runs charged first when @p timed; @p fill and @p victim
+     *  index record @p begin's first fill and victim. */
+    template <typename Levels>
+    void departRecords(Levels &levels, const FrontLog &log,
+                       std::size_t begin, std::size_t end,
+                       std::size_t fill, std::size_t victim, bool timed);
+
+    /** The timed part of a log replay: reset, then @p log's
+     *  records past the boundary and its tail. */
+    template <typename Levels>
+    void replayMeasured(Levels &levels, const FrontLog &log);
+
+    /** Panics unless @p log can drive this machine's back end. */
+    void checkLog(const FrontLog &log, const char *caller) const;
+
     /** Feed the solo co-simulation arrays (out of the hot path). */
     void soloReplay(const trace::MemRef &ref);
 
     /**
+     * Build, on first use, the caches a call reads: the downstream
+     * levels (and solo arrays) for any replay that probes them, and
+     * the L1 front too when @p front. A FrontLog replay steps no
+     * L1 and a tape replay probes no cache, so neither allocates
+     * what it never reads.
+     */
+    void buildCaches(bool front);
+
+    /**
      * Read an upstream block from downstream level @p i (i ==
-     * levels_.size() addresses main memory).
+     * levelCount() addresses main memory).
      * @return tick at which the block is fully delivered.
      */
-    Tick downstreamRead(std::size_t i, Addr addr,
+    template <typename Levels>
+    Tick downstreamRead(Levels &levels, std::size_t i, Addr addr,
                         std::uint64_t bytes, Tick start,
                         bool count_read, bool timed);
 
@@ -547,12 +702,15 @@ class HierarchySimulator
      * level @p i, applying write-around at levels that miss.
      * @return tick at which the requester may proceed.
      */
-    Tick queueDownstreamWrite(std::size_t i, Addr base,
+    template <typename Levels>
+    Tick queueDownstreamWrite(Levels &levels, std::size_t i, Addr base,
                               std::uint64_t bytes, Tick start,
                               bool timed);
 
     /** Fan a miss's fills and write-backs downstream. */
-    Tick fillFromBelow(std::size_t i, std::span<const Addr> fills,
+    template <typename Levels>
+    Tick fillFromBelow(Levels &levels, std::size_t i,
+                       std::span<const Addr> fills,
                        std::span<const cache::WritebackReq> writebacks,
                        std::uint64_t up_block_bytes, Tick start,
                        bool count_read, bool timed);
@@ -590,12 +748,18 @@ class HierarchySimulator
     std::vector<Tick> levelWriteTicks_; //!< writeCycles * cycle
     /** @} */
 
-    L1Front front_;
-    /** The L1 counters of a replayLog() run, which never steps
-     *  front_; results() reads them in place of front_'s. */
-    std::optional<L1Counts> loggedL1_;
+    std::size_t depth_ = 0; //!< downstream levels; level depth_ is memory
+    /** @{ @name Built by buildCaches() on first use */
+    std::optional<L1Front> front_;
     std::vector<std::unique_ptr<cache::Cache>> levels_;
     std::vector<std::unique_ptr<cache::Cache>> solo_;
+    /** @} */
+    /** The L1 counters of a log replay, which never steps front_;
+     *  results() reads them in place of front_'s. */
+    std::optional<L1Counts> loggedL1_;
+    /** Per-level write-back counts of a replayTimeline() run, which
+     *  probes no level; results() reads them in place of levels_'s. */
+    std::optional<std::vector<std::uint64_t>> tapedWritebacks_;
     std::vector<mem::Bus> buses_; //!< buses_[i] feeds levels_[i];
                                   //!< back() is the backplane
     std::vector<std::unique_ptr<mem::WriteBuffer>> wb_;
@@ -638,36 +802,6 @@ class HierarchySimulator
     cache::AccessOutcome soloOutcome_; //!< reused per solo access
 };
 
-inline void
-HierarchySimulator::handleRef(const trace::MemRef &ref, bool timed)
-{
-    // Solo co-simulation sees the raw CPU stream.
-    if (!solo_.empty())
-        soloReplay(ref);
-
-    switch (front_.step(ref)) {
-      case L1Front::Step::ReadHit:
-        if (timed) {
-            if (ref.isInst())
-                chargeHits({1, 0, 0});
-            else
-                chargeHits({0, 1, 0});
-        }
-        return;
-      case L1Front::Step::StoreHit:
-        if (timed)
-            chargeHits({0, 0, 1});
-        return;
-      case L1Front::Step::ReadMiss:
-      case L1Front::Step::StoreDown: {
-        const cache::AccessOutcome &out = front_.outcome();
-        handleMiss(ref, {out.fills, out.writebacks, out.forwardWrite},
-                   timed);
-        return;
-      }
-    }
-}
-
 /**
  * Number of leading downstream levels of @p a and @p b that evolve
  * identical functional state under the same boundary traffic
@@ -685,6 +819,16 @@ std::size_t sharedFunctionalPrefix(const HierarchyParams &a,
  */
 bool sameFunctionalL1(const HierarchyParams &a,
                       const HierarchyParams &b);
+
+/**
+ * True when @p a and @p b have the same functional hierarchy:
+ * sameFunctionalL1(), the same depth, and every downstream level
+ * cache::functionallyEqual. Cycle times, bus widths, write-buffer
+ * depth and memory timing are ignored. Such machines make the same
+ * decisions below L1 for any FrontLog, so they share LevelTapes.
+ */
+bool sameFunctionalHierarchy(const HierarchyParams &a,
+                             const HierarchyParams &b);
 
 /**
  * True when a warm snapshot taken on a machine shaped like @p a is

@@ -84,15 +84,16 @@ TEST(ParallelSweep, SimulatedGridBitIdenticalAcrossJobCounts)
 using MachineFor =
     std::function<hier::HierarchyParams(std::uint64_t, std::uint32_t)>;
 
-/** The store-driven grid, which runs the back end over FrontLogs,
- *  equals runSuite's raw replay cell by cell at jobs 1, 4 and 7. */
+/** The store-driven grid, which runs the back end over FrontLogs
+ *  or only the timeline over LevelTapes, equals runSuite's raw
+ *  replay cell by cell at jobs 1, 4 and 7. */
 void
-expectStoreGridEqualsRunSuite(const TraceStore &store,
-                              const MachineFor &machineFor)
+expectStoreGridEqualsRunSuite(
+    const TraceStore &store, const MachineFor &machineFor,
+    const std::vector<std::uint32_t> &cycles = {1, 2, 3, 5})
 {
     const std::vector<std::uint64_t> sizes = {16 << 10, 64 << 10,
                                               256 << 10};
-    const std::vector<std::uint32_t> cycles = {1, 2, 3, 5};
     std::vector<double> want;
     for (const std::uint64_t size : sizes)
         for (const std::uint32_t cyc : cycles)
@@ -147,6 +148,72 @@ TEST(ParallelSweep, StoreGridOverDeferredStoreEqualsPerCellRunSuite)
         store, [&](std::uint64_t size, std::uint32_t cyc) {
             return base.withL2(size, cyc);
         });
+}
+
+TEST(ParallelSweep, StoreGridOverThreeLevelsEqualsPerCellRunSuite)
+{
+    // The L3's cycle time moves along a column; its tapes hold both
+    // levels' decisions.
+    const TraceStore store = TraceStore::materialize(tinySuite());
+    const hier::HierarchyParams base =
+        hier::HierarchyParams::baseMachine();
+    expectStoreGridEqualsRunSuite(
+        store, [&](std::uint64_t size, std::uint32_t cyc) {
+            hier::HierarchyParams p = base.withL2(size, 2);
+            cache::CacheParams l3 = p.levels.back();
+            l3.name = "l3";
+            l3.geometry.sizeBytes = 1u << 20;
+            l3.geometry.blockBytes = 64;
+            l3.cycleNs = 10.0 * (4 + 2 * cyc);
+            p.levels.push_back(l3);
+            p.busWidthWords.push_back(p.busWidthWords.back());
+            return p;
+        });
+}
+
+TEST(ParallelSweep, StoreGridWithWriteThroughL2EqualsPerCellRunSuite)
+{
+    const TraceStore store = TraceStore::materialize(tinySuite());
+    const hier::HierarchyParams base =
+        hier::HierarchyParams::baseMachine();
+    expectStoreGridEqualsRunSuite(
+        store, [&](std::uint64_t size, std::uint32_t cyc) {
+            hier::HierarchyParams p = base.withL2(size, cyc);
+            p.levels[0].writePolicy = cache::WritePolicy::WriteThrough;
+            return p;
+        });
+}
+
+TEST(ParallelSweep, StoreGridWithAllocatingL2EqualsPerCellRunSuite)
+{
+    // Victims and stores that miss the L2 allocate there: the tape
+    // holds those misses' fills and victims too.
+    const TraceStore store = TraceStore::materialize(tinySuite());
+    const hier::HierarchyParams base =
+        hier::HierarchyParams::baseMachine();
+    expectStoreGridEqualsRunSuite(
+        store, [&](std::uint64_t size, std::uint32_t cyc) {
+            hier::HierarchyParams p = base.withL2(size, cyc);
+            p.levels[0].downstreamWriteMiss =
+                cache::DownstreamWriteMissPolicy::Allocate;
+            return p;
+        });
+}
+
+TEST(ParallelSweep, StoreGridWithTwoHierarchiesPerColumnEqualsPerCellRunSuite)
+{
+    // The L2's associativity follows the cycle's parity, so each
+    // column holds two functional hierarchies of three cells: each
+    // records its own tape per trace, and its third cell reads it.
+    const TraceStore store = TraceStore::materialize(tinySuite());
+    const hier::HierarchyParams base =
+        hier::HierarchyParams::baseMachine();
+    expectStoreGridEqualsRunSuite(
+        store,
+        [&](std::uint64_t size, std::uint32_t cyc) {
+            return base.withL2(size, cyc, cyc % 2 == 0 ? 2 : 1);
+        },
+        {1, 2, 3, 4, 5, 6});
 }
 
 TEST(ParallelSweep, StoreGridCallsMachineForOncePerCell)

@@ -5,6 +5,8 @@
  */
 
 #include <atomic>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -101,6 +103,50 @@ TEST(TraceStoreLazy, RacingReadersMaterializeExactlyOnce)
     for (std::size_t i = 0; i < 4; ++i)
         for (std::size_t t = 1; t < kThreads; ++t)
             EXPECT_EQ(first[t * 4 + i], first[i]);
+}
+
+TEST(TraceStoreLazy, AFailedMaterializationIsRethrownToEveryReader)
+{
+    // The materializer of trace 1 throws. Every reader, on every
+    // read, gets that same error: the store neither retries nor
+    // hangs (a latch that relied on call_once re-arming after a
+    // throw spins forever under ThreadSanitizer).
+    const auto specs = tinySpecs(2);
+    std::atomic<int> calls{0};
+    const TraceStore store = TraceStore::deferred(
+        specs, [&calls](const TraceSpec &spec) {
+            ++calls;
+            if (spec.variant == 1)
+                throw std::runtime_error("trace 1 unreadable");
+            return materialize(spec);
+        });
+
+    constexpr std::size_t kThreads = 4;
+    std::vector<const std::exception *> seen(kThreads * 2, nullptr);
+    std::vector<std::string> what(kThreads * 2);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (std::size_t read = 0; read < 2; ++read) {
+                try {
+                    store.span(1);
+                } catch (const std::runtime_error &e) {
+                    seen[t * 2 + read] = &e;
+                    what[t * 2 + read] = e.what();
+                }
+            }
+        });
+    for (std::thread &t : threads)
+        t.join();
+
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+        EXPECT_EQ(what[i], "trace 1 unreadable") << "read " << i;
+        EXPECT_EQ(seen[i], seen[0]) << "read " << i;
+    }
+    EXPECT_EQ(calls.load(), 1);
+    EXPECT_FALSE(store.resident(1));
+    EXPECT_GT(store.span(0).size, 0u) << "trace 0 loads regardless";
+    EXPECT_EQ(store.residentCount(), 1u);
 }
 
 TEST(TraceStoreLazy, EnsureAllIsIdempotentAndParallelSafe)

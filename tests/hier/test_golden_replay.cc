@@ -4,9 +4,11 @@
  *
  * The simulator offers several ways to feed the same references —
  * scalar next() through the batching default, an overridden
- * nextBatch(), zero-copy RefSpan replay, and a recorded FrontLog
- * that carries only what leaves L1 — and an inline L1 hit fast
- * path that bypasses the generic access machinery. All of them
+ * nextBatch(), zero-copy RefSpan replay, a recorded FrontLog that
+ * carries only what leaves L1, and a FrontLog with a LevelTape
+ * recorded at another L2 cycle time that carries what the levels
+ * below L1 did — and an inline L1 hit fast path that bypasses the
+ * generic access machinery. All of them
  * must produce *bit-identical* results: same cycle count, same
  * counter values, same victim choices, same cycle breakdown and
  * miss-penalty histogram, on every configuration and at every
@@ -123,7 +125,16 @@ class ScalarOnlySource : public trace::TraceSource
     std::size_t pos_ = 0;
 };
 
-enum class Mode { Scalar, Batched, Span, Log };
+enum class Mode { Scalar, Batched, Span, Log, Record, Tape };
+
+/** Whether @p mode feeds raw references, the only feed the L1 hit
+ *  fast path applies to: a log carries what its own front did. */
+bool
+rawMode(Mode mode)
+{
+    return mode == Mode::Scalar || mode == Mode::Batched ||
+           mode == Mode::Span;
+}
 
 /** Warm up on the first @p warmup references of @p all, then
  *  measure the rest, fed as @p mode says. */
@@ -134,7 +145,8 @@ replay(const HierarchyParams &params, trace::RefSpan all,
     const trace::RefSpan warm = all.first(warmup);
     const trace::RefSpan measure = all.dropFirst(warmup);
     HierarchySimulator sim(params);
-    sim.setReadHitFastPath(fast_path);
+    if (rawMode(mode))
+        sim.setReadHitFastPath(fast_path);
     switch (mode) {
       case Mode::Scalar: {
         ScalarOnlySource ws(warm);
@@ -159,13 +171,33 @@ replay(const HierarchyParams &params, trace::RefSpan all,
         // simulator runs only the back end.
         sim.replayLog(FrontLog(params, all, warmup));
         break;
+      case Mode::Record: {
+        // Recording a tape leaves the log replay's results alone.
+        LevelTape tape;
+        sim.replayLog(FrontLog(params, all, warmup), &tape);
+        break;
+      }
+      case Mode::Tape: {
+        // A machine whose every downstream level cycles three times
+        // slower records the tape; this one runs only the timeline.
+        HierarchyParams recorder = params;
+        for (cache::CacheParams &level : recorder.levels)
+            level.cycleNs *= 3.0;
+        const FrontLog log(params, all, warmup);
+        LevelTape tape;
+        HierarchySimulator(recorder).replayLog(log, &tape);
+        sim.replayTimeline(log, tape);
+        break;
+      }
     }
     return extract(sim);
 }
 
-/** Assert every (mode, fast path) combination matches the scalar
- *  generic-path reference replay exactly, at warm-ups of nothing,
- *  a quarter, the whole span and past it. */
+/** Assert every mode, raw modes with the fast path off and on,
+ *  matches the scalar generic-path reference replay exactly, at
+ *  warm-ups of nothing, a quarter, the whole span and past it. The
+ *  log modes run on a simulator that is told nothing but the log,
+ *  as a timing grid's cells are. */
 void
 expectAllModesIdentical(const HierarchyParams &params,
                         const std::vector<MemRef> &refs)
@@ -188,9 +220,11 @@ expectAllModesIdentical(const HierarchyParams &params,
                 EXPECT_EQ(reads, 0u);
         }
 
-        for (const Mode mode :
-             {Mode::Scalar, Mode::Batched, Mode::Span, Mode::Log}) {
+        for (const Mode mode : {Mode::Scalar, Mode::Batched, Mode::Span,
+                                Mode::Log, Mode::Record, Mode::Tape}) {
             for (const bool fast : {false, true}) {
+                if (fast && !rawMode(mode))
+                    continue;
                 const Golden got =
                     replay(params, all, warmup, mode, fast);
                 EXPECT_TRUE(got == reference)
@@ -265,6 +299,19 @@ TEST(GoldenReplay, UnifiedL1)
     expectAllModesIdentical(p, workload(120000));
 }
 
+/** L2 fills other than one demand block (sectors, fetch groups, a
+ *  prefetch, misses with more fills than a tape's shape byte holds):
+ *  the tape stores them, where it implies a lone demand block. */
+TEST(GoldenReplay, L2FetchShapes)
+{
+    for (const std::uint32_t fetch : {8u, 128u, 1024u}) {
+        HierarchyParams p = HierarchyParams::baseMachine();
+        p.levels[0].fetchBytes = fetch;
+        p.levels[0].prefetchNextBlock = fetch == 128;
+        expectAllModesIdentical(p, workload(60000));
+    }
+}
+
 /**
  * Victim-order regression: with associativity > 1 the exact victim
  * choices feed back into every later hit and miss, so any drift in
@@ -319,6 +366,47 @@ TEST(GoldenReplayDeath, LogNeedsTheRecordedL1AndNoSolo)
 
     HierarchySimulator other_l1(base.withL1Total(32 * 1024));
     EXPECT_DEATH(other_l1.replayLog(log), "another L1");
+}
+
+TEST(GoldenReplayDeath, TapeNeedsItsLogAndHierarchy)
+{
+    const auto refs = workload(20000);
+    const HierarchyParams base = HierarchyParams::baseMachine();
+    const FrontLog log(base, refs, refs.size() / 4);
+    LevelTape tape;
+    HierarchySimulator(base).replayLog(log, &tape);
+
+    // Another log over the same references is another log.
+    const FrontLog again(base, refs, refs.size() / 4);
+    HierarchySimulator other_log(base);
+    EXPECT_DEATH(other_log.replayTimeline(again, tape), "another FrontLog");
+
+    // A bigger L2 decides differently below L1.
+    HierarchySimulator other_l2(base.withL2(1u << 20, 3));
+    EXPECT_DEATH(other_l2.replayTimeline(log, tape), "another hierarchy");
+
+    HierarchyParams three = base;
+    three.levels.push_back(base.levels.back());
+    three.levels.back().geometry.sizeBytes = 4u << 20;
+    three.busWidthWords.push_back(three.busWidthWords.back());
+    HierarchySimulator deeper(three);
+    EXPECT_DEATH(deeper.replayTimeline(log, tape), "another hierarchy");
+}
+
+/** A timeline replay reads no tags, so it builds no cache: a grid
+ *  cell that runs it allocates no level arrays. */
+TEST(GoldenReplayDeath, TimelineBuildsNoCache)
+{
+    const auto refs = workload(20000);
+    const HierarchyParams base = HierarchyParams::baseMachine();
+    const FrontLog log(base, refs, refs.size() / 4);
+    LevelTape tape;
+    HierarchySimulator(base).replayLog(log, &tape);
+    HierarchySimulator sim(base.withL2(
+        base.levels[0].geometry.sizeBytes, 7));
+    sim.replayTimeline(log, tape);
+    EXPECT_GT(sim.results().references, 0u);
+    EXPECT_DEATH(sim.level(0), "0 built caches");
 }
 
 /** A log carries no L1 timing: a machine with a slower L1 of the
