@@ -3,19 +3,24 @@
  * Checkpoint-and-branch sweep versus straight-line warming: the
  * speedup and bit-exactness gates for sample/sweep.hh.
  *
- * One long synthetic trace (the sampled_vs_full workload), an
- * 8-configuration L2 size sweep, both arms at the same jobs count:
+ * One long synthetic trace (the sampled_vs_full workload) and two
+ * L2 families: 8 sizes at one cycle time, where every configuration
+ * is its own functional hierarchy, and the same 8 sizes at cycle
+ * times {3, 6}, where each size's second cycle time follows its
+ * first (it replays the first one's level tapes). Each family runs
+ * two ways at the same jobs count:
  *
  *  - straight-line: runSampled() per configuration, every one
  *    paying the full functional warm of every window;
  *  - checkpointed: runSweepCheckpointed(), one warming pass per
  *    window shared by all configurations.
  *
- * Gates (exit non-zero on any failure):
+ * Gates (exit non-zero on any failure), per family:
  *  - per-configuration CPI, window samples and miss-ratio counters
- *    bit-identical between the arms (always);
+ *    bit-identical between the two ways (always);
  *  - checkpointed wall clock >= --min-speedup x faster (default 3);
  *  - checkpointed results bit-identical across jobs counts;
+ * and once:
  *  - the matched-pair delta interval strictly narrower than either
  *    absolute interval.
  *
@@ -142,7 +147,7 @@ main(int argc, char **argv)
         trace::StackDepthProfile::pareto(0.60, 4.0, 1u << 14);
 
     std::cerr << "checkpoint sweep: " << refs
-              << " refs, 8-config L2 size sweep, jobs=" << jobs
+              << " refs, 8-size and 8x2 L2 sweeps, jobs=" << jobs
               << "\n  generating...\n";
     const auto g0 = std::chrono::steady_clock::now();
     std::vector<trace::MemRef> stream(refs);
@@ -155,68 +160,92 @@ main(int argc, char **argv)
 
     const hier::HierarchyParams base =
         hier::HierarchyParams::baseMachine();
-    std::vector<hier::HierarchyParams> configs;
-    for (const std::uint64_t kb :
-         {64u, 128u, 256u, 512u, 1024u, 2048u, 4096u, 8192u})
-        configs.push_back(base.withL2(kb * 1024, 3));
-
+    const std::vector<std::uint64_t> sizes_kb = {
+        64, 128, 256, 512, 1024, 2048, 4096, 8192};
     const sample::SampledOptions opts = scheduleFor(refs, adaptive);
 
-    // Arm 1: straight-line — every configuration warms every
-    // window itself (the pre-checkpoint behaviour), at the same
-    // jobs count as the sweep for an honest wall-clock comparison.
-    std::cerr << "  straight-line (" << configs.size()
-              << " configs x full warming)...\n";
-    const auto s0 = std::chrono::steady_clock::now();
-    std::vector<sample::SampledResult> straight(configs.size());
+    // One family, straight-line then checkpointed.
+    struct Arm
     {
-        // The sweep resolves adaptive warming once for the whole
-        // family (against the largest deepest cache, configs.back()
-        // here); hold the straight-line arm to the same resolved
-        // schedule so the arms stay comparable bit for bit.
-        sample::SampledOptions fixed = opts;
-        if (adaptive) {
-            fixed.functionalWarmRefs =
-                sample::deriveFunctionalWarmRefs(
-                    span, configs.back(), opts);
-            fixed.adaptiveWarm = false;
+        const char *name = "";
+        std::vector<hier::HierarchyParams> configs;
+        double straight_s = 0.0;
+        double check_s = 0.0;
+        bool identical = false;
+        bool jobs_invariant = true;
+        sample::SweepResult sweep;
+    };
+    const auto runArm = [&](Arm &arm) {
+        const std::vector<hier::HierarchyParams> &configs = arm.configs;
+        // Straight-line: every configuration warms every window
+        // itself (the pre-checkpoint behaviour), at the same jobs
+        // count as the sweep for an honest wall-clock comparison.
+        std::cerr << "  " << arm.name << ": straight-line ("
+                  << configs.size() << " configs x full warming)...\n";
+        const auto s0 = std::chrono::steady_clock::now();
+        std::vector<sample::SampledResult> straight(configs.size());
+        {
+            // The sweep resolves adaptive warming once for the
+            // whole family (against the largest deepest cache,
+            // configs.back() here); hold the straight-line arm to
+            // the same resolved schedule so the arms stay
+            // comparable bit for bit.
+            sample::SampledOptions fixed = opts;
+            if (adaptive) {
+                fixed.functionalWarmRefs =
+                    sample::deriveFunctionalWarmRefs(
+                        span, configs.back(), opts);
+                fixed.adaptiveWarm = false;
+            }
+            parallelFor(jobs, configs.size(), [&](std::size_t c) {
+                straight[c] =
+                    sample::runSampled(configs[c], span, fixed);
+            });
         }
-        parallelFor(jobs, configs.size(), [&](std::size_t c) {
-            straight[c] = sample::runSampled(configs[c], span, fixed);
-        });
-    }
-    const double straight_s = seconds(s0);
+        arm.straight_s = seconds(s0);
 
-    // Arm 2: checkpointed.
-    std::cerr << "  checkpointed (one warming pass per window)...\n";
-    const auto c0 = std::chrono::steady_clock::now();
-    const sample::SweepResult sweep =
-        sample::runSweepCheckpointed(configs, span, opts, jobs);
-    const double check_s = seconds(c0);
+        std::cerr << "  " << arm.name
+                  << ": checkpointed (one warming pass per window)...\n";
+        const auto c0 = std::chrono::steady_clock::now();
+        arm.sweep = sample::runSweepCheckpointed(configs, span, opts,
+                                                 jobs);
+        arm.check_s = seconds(c0);
 
-    const double speedup = straight_s / check_s;
+        arm.identical = arm.sweep.checkpointed;
+        if (!arm.sweep.checkpointed)
+            std::cerr << "  ERROR: sweep fell back to straight-line\n";
+        for (std::size_t c = 0; c < configs.size(); ++c)
+            arm.identical =
+                bitIdentical(arm.sweep.perConfig[c], straight[c], c,
+                             "checkpointed vs straight") &&
+                arm.identical;
 
-    bool identical = sweep.checkpointed;
-    if (!sweep.checkpointed)
-        std::cerr << "  ERROR: sweep fell back to straight-line\n";
-    for (std::size_t c = 0; c < configs.size(); ++c)
-        identical = bitIdentical(sweep.perConfig[c], straight[c], c,
-                                 "checkpointed vs straight") &&
-                    identical;
+        // Jobs-composition gate: an alternate jobs count must not
+        // move a single bit.
+        const std::size_t alt_jobs = jobs == 1 ? 2 : 1;
+        std::cerr << "  " << arm.name << ": checkpointed again at jobs="
+                  << alt_jobs << " (determinism gate)...\n";
+        const sample::SweepResult alt = sample::runSweepCheckpointed(
+            configs, span, opts, alt_jobs);
+        for (std::size_t c = 0; c < configs.size(); ++c)
+            arm.jobs_invariant =
+                bitIdentical(arm.sweep.perConfig[c], alt.perConfig[c],
+                             c, "jobs composition") &&
+                arm.jobs_invariant;
+    };
 
-    // Jobs-composition gate: an alternate jobs count must not move
-    // a single bit.
-    const std::size_t alt_jobs = jobs == 1 ? 2 : 1;
-    std::cerr << "  checkpointed again at jobs=" << alt_jobs
-              << " (determinism gate)...\n";
-    const sample::SweepResult sweep_alt =
-        sample::runSweepCheckpointed(configs, span, opts, alt_jobs);
-    bool jobs_invariant = true;
-    for (std::size_t c = 0; c < configs.size(); ++c)
-        jobs_invariant =
-            bitIdentical(sweep.perConfig[c], sweep_alt.perConfig[c],
-                         c, "jobs composition") &&
-            jobs_invariant;
+    Arm sizes;
+    sizes.name = "sizes";
+    for (const std::uint64_t kb : sizes_kb)
+        sizes.configs.push_back(base.withL2(kb * 1024, 3));
+    Arm grouped;
+    grouped.name = "grouped";
+    for (const std::uint64_t kb : sizes_kb)
+        for (const std::uint32_t cycles : {3u, 6u})
+            grouped.configs.push_back(base.withL2(kb * 1024, cycles));
+    runArm(sizes);
+    runArm(grouped);
+    const std::vector<hier::HierarchyParams> &configs = sizes.configs;
 
     // Matched-pair gate: adjacent L2 sizes — the case matched
     // pairs exist for (near designs, highly correlated window
@@ -230,20 +259,37 @@ main(int argc, char **argv)
         paired.deltaInterval.halfWidth <
             paired.b.cpiInterval.halfWidth;
 
-    const sample::SampledResult &first = sweep.perConfig.front();
+    const auto armJson = [](const Arm &arm) {
+        std::cout << "{\"configs\":" << arm.configs.size()
+                  << ",\"straight_line_s\":" << arm.straight_s
+                  << ",\"checkpointed_s\":" << arm.check_s
+                  << ",\"speedup\":" << arm.straight_s / arm.check_s
+                  << ",\"bit_identical\":"
+                  << (arm.identical ? "true" : "false")
+                  << ",\"jobs_invariant\":"
+                  << (arm.jobs_invariant ? "true" : "false") << "}";
+    };
+    const sample::SampledResult &first = sizes.sweep.perConfig.front();
     std::cout << "{\"refs\":" << refs
               << ",\"configs\":" << configs.size()
               << ",\"jobs\":" << jobs
               << ",\"generate_s\":" << gen_s
-              << ",\"straight_line_s\":" << straight_s
-              << ",\"checkpointed_s\":" << check_s
-              << ",\"speedup\":" << speedup
+              << ",\"straight_line_s\":" << sizes.straight_s
+              << ",\"checkpointed_s\":" << sizes.check_s
+              << ",\"speedup\":" << sizes.straight_s / sizes.check_s
               << ",\"min_speedup\":" << min_speedup
               << ",\"bit_identical\":"
-              << (identical ? "true" : "false")
+              << (sizes.identical && grouped.identical ? "true"
+                                                       : "false")
               << ",\"jobs_invariant\":"
-              << (jobs_invariant ? "true" : "false")
-              << ",\"prefix_levels\":" << sweep.prefixLevels
+              << (sizes.jobs_invariant && grouped.jobs_invariant
+                      ? "true"
+                      : "false")
+              << ",\"arms\":{\"sizes\":";
+    armJson(sizes);
+    std::cout << ",\"grouped\":";
+    armJson(grouped);
+    std::cout << "},\"prefix_levels\":" << sizes.sweep.prefixLevels
               << ",\"windows\":" << first.windowCpiValues.size()
               << ",\"warm_refs_per_window\":"
               << first.warmRefsPerWindow << ",\"warm_path\":\""
@@ -263,21 +309,27 @@ main(int argc, char **argv)
               << ",\"max_rss_kb\":" << bench::maxRssJson() << ","
               << bench::provenanceJson() << "}\n";
 
-    if (!identical)
-        mlc_fatal("checkpointed sweep is not bit-identical to "
-                  "straight-line warming");
-    if (!jobs_invariant)
-        mlc_fatal("checkpointed sweep changed with the jobs count");
-    if (speedup < min_speedup)
-        mlc_fatal("sweep speedup ", speedup, "x below the ",
-                  min_speedup, "x gate");
+    for (const Arm *arm : {&sizes, &grouped}) {
+        if (!arm->identical)
+            mlc_fatal(arm->name, ": checkpointed sweep is not "
+                      "bit-identical to straight-line warming");
+        if (!arm->jobs_invariant)
+            mlc_fatal(arm->name, ": checkpointed sweep changed with "
+                      "the jobs count");
+        const double speedup = arm->straight_s / arm->check_s;
+        if (speedup < min_speedup)
+            mlc_fatal(arm->name, ": sweep speedup ", speedup,
+                      "x below the ", min_speedup, "x gate");
+    }
     if (!narrower)
         mlc_fatal("paired delta half-width ",
                   paired.deltaInterval.halfWidth,
                   " not narrower than both absolute half-widths (",
                   paired.a.cpiInterval.halfWidth, ", ",
                   paired.b.cpiInterval.halfWidth, ")");
-    std::cerr << "  ok: " << speedup << "x, bit-identical, paired "
+    std::cerr << "  ok: " << sizes.straight_s / sizes.check_s << "x and "
+              << grouped.straight_s / grouped.check_s
+              << "x, bit-identical, paired "
               << "CI " << paired.deltaInterval.halfWidth << " vs "
               << paired.a.cpiInterval.halfWidth << "/"
               << paired.b.cpiInterval.halfWidth << "\n";

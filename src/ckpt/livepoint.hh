@@ -13,7 +13,9 @@
  * branched from a freshly captured snapshot: the arena is restored
  * into offset 0 of a reset arena (the first alloc() of a reset
  * arena is always offset 0, so every stored offset stays valid),
- * and `restoreWarmState` then re-runs its usual shape checks.
+ * and the branch restore (`hier::L1Front::restore`,
+ * `HierarchySimulator::replayWindow`) then re-runs its usual shape
+ * checks.
  *
  * Decoders never panic on malformed bytes — they return false and
  * the caller falls back to re-warming. Panics are reserved for the

@@ -551,9 +551,8 @@ HierarchySimulator::departRecords(Levels &levels, const FrontLog &log,
 
 template <typename Levels>
 void
-HierarchySimulator::replayMeasured(Levels &levels, const FrontLog &log)
+HierarchySimulator::replayPastBoundary(Levels &levels, const FrontLog &log)
 {
-    resetAllCounts();
     departRecords(levels, log, log.boundary(), log.records().size(),
                   log.boundaryFills(), log.boundaryWritebacks(), true);
     chargeHits(log.tail());
@@ -561,6 +560,14 @@ HierarchySimulator::replayMeasured(Levels &levels, const FrontLog &log)
     const L1Counts &c = log.counts();
     refsRun_ = c.instructions + c.loads + c.stores;
     loggedL1_ = c;
+}
+
+template <typename Levels>
+void
+HierarchySimulator::replayMeasured(Levels &levels, const FrontLog &log)
+{
+    resetAllCounts();
+    replayPastBoundary(levels, log);
 }
 
 void
@@ -595,16 +602,23 @@ HierarchySimulator::replayLog(const FrontLog &log, LevelTape *record)
 }
 
 void
+HierarchySimulator::checkTape(const FrontLog &log, const LevelTape &tape,
+                              const char *caller) const
+{
+    if (tape.log_ != &log)
+        mlc_panic(caller, ": the tape was recorded over another "
+                  "FrontLog");
+    if (!sameFunctionalHierarchy(tape.params_, params_))
+        mlc_panic(caller, ": the tape was recorded on another "
+                  "hierarchy");
+}
+
+void
 HierarchySimulator::replayTimeline(const FrontLog &log,
                                    const LevelTape &tape)
 {
     checkLog(log, "replayTimeline");
-    if (tape.log_ != &log)
-        mlc_panic("replayTimeline: the tape was recorded over another "
-                  "FrontLog");
-    if (!sameFunctionalHierarchy(tape.params_, params_))
-        mlc_panic("replayTimeline: the tape was recorded on another "
-                  "hierarchy");
+    checkTape(log, tape, "replayTimeline");
     TapeLevels taped(tape);
     replayMeasured(taped, log);
     if (!taped.atEnd())
@@ -613,56 +627,213 @@ HierarchySimulator::replayTimeline(const FrontLog &log,
     tapedWritebacks_ = tape.levelWritebacks_;
 }
 
+template <typename Levels>
+Tick
+HierarchySimulator::replayWindowLog(Levels &levels, const FrontLog &log)
+{
+    departRecords(levels, log, 0, log.boundary(), 0, 0, true);
+    const Tick split = now_;
+    replayPastBoundary(levels, log);
+    return split;
+}
+
+void
+HierarchySimulator::checkWindow(const FrontLog &log,
+                                const WarmSnapshot &snap,
+                                const char *caller) const
+{
+    checkLog(log, caller);
+    if (!log.window())
+        mlc_panic(caller, ": not a window log");
+    if (snap.splitL1 != params_.splitL1)
+        mlc_panic(caller, ": split-L1 mismatch: snapshot ",
+                  snap.splitL1 ? "split" : "unified", ", simulator ",
+                  params_.splitL1 ? "split" : "unified");
+    if (snap.prefixLevels > depth_)
+        mlc_panic(caller, ": snapshot prefix depth ", snap.prefixLevels,
+                  " exceeds hierarchy depth ", depth_);
+}
+
+void
+HierarchySimulator::restoreCounters(const WarmSnapshot &snap)
+{
+    l1ReadMissCount_ = snap.l1ReadMissCount;
+    for (std::size_t i = 0; i < snap.prefixLevels; ++i) {
+        readReqs_[i] = snap.readReqs[i];
+        readMisses_[i] = snap.readMisses[i];
+    }
+}
+
+FrontLog
+HierarchySimulator::runFunctionalLogged(trace::RefSpan detail,
+                                        trace::RefSpan measure)
+{
+    buildCaches(true);
+    FrontLog log(params_, *front_, detail, measure);
+    checkLog(log, "runFunctionalLogged");
+    LiveLevels live(*this);
+    departRecords(live, log, 0, log.records().size(), 0, 0, false);
+    refsRun_ += detail.size + measure.size;
+    return log;
+}
+
+Tick
+HierarchySimulator::replayWindow(const std::vector<BoundaryOp> &ops,
+                                 const SnapshotArena &arena,
+                                 const WarmSnapshot &snap,
+                                 const FrontLog &log, LevelTape *record)
+{
+    checkWindow(log, snap, "replayWindow");
+    buildCaches(false);
+    LiveLevels live(*this);
+
+    // The Warm segment's traffic below the shared prefix, untimed.
+    std::vector<std::uint64_t> reqs, misses;
+    if (record) {
+        reqs = readReqs_;
+        misses = readMisses_;
+    }
+    const std::uint64_t mem_reads = memReads_;
+    const std::uint64_t mem_writes = memWrites_;
+    for (const BoundaryOp &op : ops) {
+        if (op.kind == BoundaryOp::Kind::Read)
+            downstreamRead(live, snap.prefixLevels, op.addr, op.bytes, 0,
+                           op.countRead, false);
+        else
+            queueDownstreamWrite(live, snap.prefixLevels, op.addr,
+                                 op.bytes, 0, false);
+    }
+
+    // The prefix's warm state and counters.
+    for (std::size_t i = 0; i < snap.prefixLevels; ++i)
+        levels_[i]->restoreState(arena, snap.levels[i]);
+    restoreCounters(snap);
+
+    if (!record)
+        return replayWindowLog(live, log);
+    *record = LevelTape();
+    record->params_ = params_;
+    record->log_ = &log;
+    for (std::size_t i = 0; i < depth_; ++i) {
+        record->boundaryReadReqs_.push_back(
+            i < snap.prefixLevels ? 0 : readReqs_[i] - reqs[i]);
+        record->boundaryReadMisses_.push_back(
+            i < snap.prefixLevels ? 0 : readMisses_[i] - misses[i]);
+    }
+    record->boundaryMemReads_ = memReads_ - mem_reads;
+    record->boundaryMemWrites_ = memWrites_ - mem_writes;
+    RecordingLevels recording(*this, *record);
+    const Tick split = replayWindowLog(recording, log);
+    for (const auto &level : levels_)
+        record->levelWritebacks_.push_back(level->counts().writebacks);
+    return split;
+}
+
+Tick
+HierarchySimulator::replayWindowTimeline(const WarmSnapshot &snap,
+                                         const FrontLog &log,
+                                         const LevelTape &tape)
+{
+    checkWindow(log, snap, "replayWindowTimeline");
+    checkTape(log, tape, "replayWindowTimeline");
+    for (std::size_t i = 0; i < depth_; ++i) {
+        readReqs_[i] += tape.boundaryReadReqs_[i];
+        readMisses_[i] += tape.boundaryReadMisses_[i];
+    }
+    memReads_ += tape.boundaryMemReads_;
+    memWrites_ += tape.boundaryMemWrites_;
+    restoreCounters(snap);
+
+    TapeLevels taped(tape);
+    const Tick split = replayWindowLog(taped, log);
+    if (!taped.atEnd())
+        mlc_panic("replayWindowTimeline: the log left part of the tape "
+                  "unread");
+    tapedWritebacks_ = tape.levelWritebacks_;
+    return split;
+}
+
+void
+FrontLog::closeRun(HitRun &run)
+{
+    Record closed;
+    closed.hits = run;
+    closed.departs = false;
+    records_.push_back(closed);
+    run = {};
+}
+
+void
+FrontLog::markBoundary()
+{
+    boundary_ = records_.size();
+    boundaryFills_ = fills_.size();
+    boundaryWritebacks_ = writebacks_.size();
+}
+
+void
+FrontLog::record(L1Front &front, trace::RefSpan refs, HitRun &run,
+                 std::uint32_t max_run)
+{
+    const auto hit = [&](std::uint32_t &count) {
+        if (++count == max_run)
+            closeRun(run);
+    };
+    for (const trace::MemRef &ref : refs) {
+        switch (front.step(ref)) {
+          case L1Front::Step::ReadHit:
+            hit(ref.isInst() ? run.ifetches : run.loads);
+            break;
+          case L1Front::Step::StoreHit:
+            hit(run.stores);
+            break;
+          case L1Front::Step::ReadMiss:
+          case L1Front::Step::StoreDown: {
+            const cache::AccessOutcome &out = front.outcome();
+            records_.push_back(
+                {ref.addr, run,
+                 static_cast<std::uint32_t>(out.fills.size()),
+                 static_cast<std::uint32_t>(out.writebacks.size()),
+                 ref.type, ref.size, out.forwardWrite});
+            fills_.insert(fills_.end(), out.fills.begin(),
+                          out.fills.end());
+            writebacks_.insert(writebacks_.end(),
+                               out.writebacks.begin(),
+                               out.writebacks.end());
+            run = {};
+            break;
+          }
+        }
+    }
+}
+
 FrontLog::FrontLog(const HierarchyParams &params, trace::RefSpan refs,
                    std::uint64_t warmup_refs, std::uint32_t max_run)
     : params_(params.finalized())
 {
     L1Front front(params_);
     HitRun run;
-    const auto hit = [&](std::uint32_t &count) {
-        if (++count == max_run) {
-            Record closed;
-            closed.hits = run;
-            closed.departs = false;
-            records_.push_back(closed);
-            run = {};
-        }
-    };
-    const auto record = [&](trace::RefSpan span) {
-        for (const trace::MemRef &ref : span) {
-            switch (front.step(ref)) {
-              case L1Front::Step::ReadHit:
-                hit(ref.isInst() ? run.ifetches : run.loads);
-                break;
-              case L1Front::Step::StoreHit:
-                hit(run.stores);
-                break;
-              case L1Front::Step::ReadMiss:
-              case L1Front::Step::StoreDown: {
-                const cache::AccessOutcome &out = front.outcome();
-                records_.push_back(
-                    {ref.addr, run,
-                     static_cast<std::uint32_t>(out.fills.size()),
-                     static_cast<std::uint32_t>(out.writebacks.size()),
-                     ref.type, ref.size, out.forwardWrite});
-                fills_.insert(fills_.end(), out.fills.begin(),
-                              out.fills.end());
-                writebacks_.insert(writebacks_.end(),
-                                   out.writebacks.begin(),
-                                   out.writebacks.end());
-                run = {};
-                break;
-              }
-            }
-        }
-    };
-    record(refs.first(warmup_refs));
-    boundary_ = records_.size();
-    boundaryFills_ = fills_.size();
-    boundaryWritebacks_ = writebacks_.size();
+    record(front, refs.first(warmup_refs), run, max_run);
+    markBoundary();
     front.resetCounts();
     run = {};
-    record(refs.dropFirst(warmup_refs));
+    record(front, refs.dropFirst(warmup_refs), run, max_run);
+    tail_ = run;
+    counts_ = front.counts();
+}
+
+FrontLog::FrontLog(const HierarchyParams &params, L1Front &front,
+                   trace::RefSpan detail, trace::RefSpan measure)
+    : params_(params.finalized()), window_(true)
+{
+    HitRun run;
+    record(front, detail, run, kMaxRun);
+    // Detail hits are timed: charge them before the boundary.
+    if (run.ifetches || run.loads || run.stores)
+        closeRun(run);
+    markBoundary();
+    leadCounts_ = front.counts();
+    record(front, measure, run, kMaxRun);
     tail_ = run;
     counts_ = front.counts();
 }
@@ -765,6 +936,33 @@ HierarchySimulator::resetAllCounts()
 }
 
 void
+L1Front::capture(SnapshotArena &arena, WarmSnapshot &snap) const
+{
+    snap.splitL1 = l1i_ != nullptr;
+    if (l1i_)
+        l1i_->captureState(arena, snap.l1i);
+    l1d_->captureState(arena, snap.l1d);
+    snap.instructions = instructions_;
+    snap.loads = loads_;
+    snap.stores = stores_;
+}
+
+void
+L1Front::restore(const SnapshotArena &arena, const WarmSnapshot &snap)
+{
+    if (snap.splitL1 != (l1i_ != nullptr))
+        mlc_panic("L1 restore split-L1 mismatch: snapshot ",
+                  snap.splitL1 ? "split" : "unified", ", front ",
+                  l1i_ ? "split" : "unified");
+    if (l1i_)
+        l1i_->restoreState(arena, snap.l1i);
+    l1d_->restoreState(arena, snap.l1d);
+    instructions_ = snap.instructions;
+    loads_ = snap.loads;
+    stores_ = snap.stores;
+}
+
+void
 HierarchySimulator::captureWarmState(SnapshotArena &arena,
                                      WarmSnapshot &snap,
                                      std::size_t prefix_levels) const
@@ -779,17 +977,11 @@ HierarchySimulator::captureWarmState(SnapshotArena &arena,
     if (!front_)
         mlc_panic("captureWarmState before any replay over raw "
                   "references: there is no L1 state");
-    snap.splitL1 = params_.splitL1;
+    front_->capture(arena, snap);
     snap.prefixLevels = prefix_levels;
-    if (front_->l1i_)
-        front_->l1i_->captureState(arena, snap.l1i);
-    front_->l1d_->captureState(arena, snap.l1d);
     snap.levels.resize(prefix_levels);
     for (std::size_t i = 0; i < prefix_levels; ++i)
         levels_[i]->captureState(arena, snap.levels[i]);
-    snap.instructions = front_->instructions_;
-    snap.loads = front_->loads_;
-    snap.stores = front_->stores_;
     snap.refsRun = refsRun_;
     snap.l1ReadMissCount = l1ReadMissCount_;
     snap.readReqs.assign(readReqs_.begin(),
@@ -800,60 +992,6 @@ HierarchySimulator::captureWarmState(SnapshotArena &arena,
                            readMisses_.begin() +
                                static_cast<std::ptrdiff_t>(
                                    prefix_levels));
-}
-
-void
-HierarchySimulator::restoreWarmState(const SnapshotArena &arena,
-                                     const WarmSnapshot &snap)
-{
-    if (snap.splitL1 != params_.splitL1)
-        mlc_panic("restoreWarmState split-L1 mismatch: snapshot ",
-                  snap.splitL1 ? "split" : "unified",
-                  ", simulator ",
-                  params_.splitL1 ? "split" : "unified");
-    if (snap.prefixLevels > depth_)
-        mlc_panic("restoreWarmState snapshot prefix depth ",
-                  snap.prefixLevels, " exceeds hierarchy depth ",
-                  depth_);
-    if (params_.measureSolo)
-        mlc_panic("restoreWarmState with solo co-simulation "
-                  "active");
-    buildCaches(true);
-    if (front_->l1i_)
-        front_->l1i_->restoreState(arena, snap.l1i);
-    front_->l1d_->restoreState(arena, snap.l1d);
-    for (std::size_t i = 0; i < snap.prefixLevels; ++i)
-        levels_[i]->restoreState(arena, snap.levels[i]);
-    front_->instructions_ = snap.instructions;
-    front_->loads_ = snap.loads;
-    front_->stores_ = snap.stores;
-    refsRun_ = snap.refsRun;
-    l1ReadMissCount_ = snap.l1ReadMissCount;
-    for (std::size_t i = 0; i < snap.prefixLevels; ++i) {
-        readReqs_[i] = snap.readReqs[i];
-        readMisses_[i] = snap.readMisses[i];
-    }
-}
-
-std::uint64_t
-HierarchySimulator::replayBoundary(std::size_t level,
-                                   const std::vector<BoundaryOp> &ops)
-{
-    if (level > depth_)
-        mlc_panic("replayBoundary at level ", level,
-                  " of a hierarchy with ", depth_,
-                  " downstream levels");
-    buildCaches(false);
-    LiveLevels live(*this);
-    for (const BoundaryOp &op : ops) {
-        if (op.kind == BoundaryOp::Kind::Read)
-            downstreamRead(live, level, op.addr, op.bytes, 0,
-                           op.countRead, false);
-        else
-            queueDownstreamWrite(live, level, op.addr, op.bytes, 0,
-                                 false);
-    }
-    return ops.size();
 }
 
 std::size_t

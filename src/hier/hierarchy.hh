@@ -231,8 +231,19 @@ class L1Front
                 l1d_->counts()};
     }
 
+    /** @{ @name Warm-state checkpointing
+     *
+     * capture() copies the L1 caches, their counts and the reference
+     * mix into @p snap (the arrays into @p arena); restore() copies
+     * them back. restore() panics when the snapshot's split shape is
+     * not this front's, and (TagArray::restoreState) when a side's
+     * geometry differs. */
+    void capture(SnapshotArena &arena, WarmSnapshot &snap) const;
+    void restore(const SnapshotArena &arena, const WarmSnapshot &snap);
+    /** @} */
+
   private:
-    /** Checkpoints this state (WarmSnapshot) and reports per side. */
+    /** Reports per side. */
     friend class HierarchySimulator;
 
     std::unique_ptr<cache::Cache> l1i_; //!< null if unified
@@ -285,6 +296,15 @@ struct Departure
  * warmUp() + run() over the raw span. A log costs O(records), about
  * 0.1 per reference on the grid suite, never one entry per
  * reference.
+ *
+ * A window log (window()) records one window of a checkpointed
+ * sampled sweep instead: an L1 carrying a snapshot's warm state and
+ * counters steps the window's Detail then its Measure segment. Both
+ * parts are timed, so the Detail part's last hit run is closed at
+ * the boundary by a record that departs nothing, and the counters
+ * run on from the snapshot's: leadCounts() holds them at the
+ * boundary, counts() at the end. HierarchySimulator::replayWindow()
+ * replays it.
  */
 class FrontLog
 {
@@ -318,10 +338,21 @@ class FrontLog
     FrontLog(const HierarchyParams &params, trace::RefSpan refs,
              std::uint64_t warmup_refs, std::uint32_t max_run = kMaxRun);
 
+    /**
+     * A window log: step @p front, whose L1s are @p params's and
+     * hold a window's warm state (restored from a snapshot, or a
+     * warmer's own), over @p detail then @p measure.
+     */
+    FrontLog(const HierarchyParams &params, L1Front &front,
+             trace::RefSpan detail, trace::RefSpan measure);
+
     /** The finalized configuration whose L1s were recorded. */
     const HierarchyParams &params() const { return params_; }
+    /** True for a sampled window's log (the second constructor). */
+    bool window() const { return window_; }
     const std::vector<Record> &records() const { return records_; }
-    /** Records [0, boundary()) precede the warm boundary. */
+    /** Records [0, boundary()) precede the warm boundary; in a
+     *  window log they are the Detail part. */
     std::size_t boundary() const { return boundary_; }
     /** @{ @name Where the boundary() record's fills and victims
      *  start */
@@ -330,8 +361,11 @@ class FrontLog
     /** @} */
     /** Hits after the last record, all past the boundary. */
     const HitRun &tail() const { return tail_; }
-    /** The front's counters after the warm boundary. */
+    /** The front's counters after the warm boundary; a window log's
+     *  at its end. */
     const L1Counts &counts() const { return counts_; }
+    /** A window log's counters at the boundary. */
+    const L1Counts &leadCounts() const { return leadCounts_; }
     /** @{ @name Every record's fills and victims, in record order */
     const std::vector<Addr> &fills() const { return fills_; }
     const std::vector<cache::WritebackReq> &
@@ -342,7 +376,18 @@ class FrontLog
     /** @} */
 
   private:
+    /** Step @p front over @p refs, appending a record per departure
+     *  and closing @p run, the open hit run, at @p max_run hits of
+     *  one kind. The one recording loop of both constructors. */
+    void record(L1Front &front, trace::RefSpan refs, HitRun &run,
+                std::uint32_t max_run);
+    /** Close @p run with a record that departs nothing. */
+    void closeRun(HitRun &run);
+    /** Mark the boundary at the records so far. */
+    void markBoundary();
+
     HierarchyParams params_;
+    bool window_ = false;
     std::vector<Record> records_;
     std::vector<Addr> fills_;
     std::vector<cache::WritebackReq> writebacks_;
@@ -351,6 +396,7 @@ class FrontLog
     std::size_t boundaryWritebacks_ = 0;
     HitRun tail_;
     L1Counts counts_;
+    L1Counts leadCounts_;
 };
 
 /**
@@ -373,6 +419,13 @@ class FrontLog
  * not the demand block of the probed address. The grid suite makes
  * about 0.155 probes per measured reference at the base machine's
  * L2s.
+ *
+ * HierarchySimulator::replayWindow() records a window tape over a
+ * window log the same way. It also keeps what the window's untimed
+ * boundary replay added to each level's read requests and misses
+ * and to memory's reads and writes: those are functional too, so
+ * replayWindowTimeline() takes them as counter deltas and never
+ * walks the boundary traffic.
  */
 class LevelTape
 {
@@ -444,6 +497,14 @@ class LevelTape
     std::vector<Addr> fills_;
     std::vector<cache::WritebackReq> writebacks_;
     std::vector<std::uint64_t> levelWritebacks_; //!< at the end
+    /** @{ @name A window tape's boundary replay: its additions to
+     *  each level's read requests and misses, and to memory's reads
+     *  and writes */
+    std::vector<std::uint64_t> boundaryReadReqs_;
+    std::vector<std::uint64_t> boundaryReadMisses_;
+    std::uint64_t boundaryMemReads_ = 0;
+    std::uint64_t boundaryMemWrites_ = 0;
+    /** @} */
 };
 
 /** Trace-driven, cycle-accounting hierarchy simulator. */
@@ -524,6 +585,48 @@ class HierarchySimulator
      */
     void replayTimeline(const FrontLog &log, const LevelTape &tape);
 
+    /**
+     * @{ @name Checkpointed sampled windows
+     *
+     * runFunctionalLogged() is a sweep warmer's runFunctional() over
+     * a window's Detail and Measure segments that also returns their
+     * window log: the log an L1 restored from a snapshot captured
+     * just before would record.
+     *
+     * replayWindow() prices one window on a branch machine whose L1
+     * is @p log's and whose levels [0, snap.prefixLevels) are the
+     * warmer's. It replays @p ops (what crossed the warmer's memory
+     * boundary during the Warm segment) untimed into the levels
+     * below that prefix, restores the prefix levels and the untimed
+     * counters from @p snap, then replays the window log timed, with
+     * no reset. Window after window, results equal a straight-line
+     * runFunctional(Warm) + run(Detail) + run(Measure). It returns
+     * now() at the log's boundary, where the Measure part starts;
+     * instructionCount() there is log.leadCounts().instructions.
+     * With @p record it also records a window tape into it.
+     *
+     * replayWindowTimeline() prices the same window on a machine of
+     * the same functional hierarchy from that tape: the boundary
+     * replay's counter deltas, the snapshot's counters, and the
+     * timeline over the log. It builds no cache.
+     *
+     * Both panic when the log is not a window log or was recorded on
+     * another L1, when a solo co-simulation is active, and when the
+     * snapshot's shape does not match this machine (different
+     * splitL1, a prefix deeper than this hierarchy, or a prefix
+     * level's geometry via TagArray::restoreState); the timeline
+     * also when the tape was recorded over another log or on another
+     * functional hierarchy.
+     */
+    FrontLog runFunctionalLogged(trace::RefSpan detail,
+                                 trace::RefSpan measure);
+    Tick replayWindow(const std::vector<BoundaryOp> &ops,
+                      const SnapshotArena &arena, const WarmSnapshot &snap,
+                      const FrontLog &log, LevelTape *record = nullptr);
+    Tick replayWindowTimeline(const WarmSnapshot &snap,
+                              const FrontLog &log, const LevelTape &tape);
+    /** @} */
+
     /** Disable/re-enable the L1 front's hit fast paths; results
      *  do not depend on it (L1Front::setFastPath). */
     void setReadHitFastPath(bool enabled);
@@ -532,24 +635,16 @@ class HierarchySimulator
     SimResults results() const;
 
     /**
-     * @{ @name Warm-state checkpointing
-     *
-     * captureWarmState() copies the functional state above the
-     * boundary — L1s, levels [0, prefix_levels), untimed-path
-     * counters — into the arena; restoreWarmState() copies it back.
-     * Both panic when a solo co-simulation is active (solo arrays
+     * Copy the functional state above a sweep's boundary — L1s,
+     * levels [0, prefix_levels), untimed-path counters — into the
+     * arena. Panics when a solo co-simulation is active (solo arrays
      * see the raw CPU stream and cannot be reconstructed from
-     * boundary traffic), capture panics before any replay over raw
-     * references has built the L1s, and restore panics when the
-     * snapshot's shape does not match this simulator (different
-     * splitL1, a deeper prefix than this hierarchy, or per-level
-     * geometry mismatch via TagArray::restoreState).
+     * boundary traffic) and before any replay over raw references
+     * has built the L1s. L1Front::restore() and replayWindow()
+     * restore it.
      */
     void captureWarmState(SnapshotArena &arena, WarmSnapshot &snap,
                           std::size_t prefix_levels) const;
-    void restoreWarmState(const SnapshotArena &arena,
-                          const WarmSnapshot &snap);
-    /** @} */
 
     /**
      * Record every operation that reaches main memory (the
@@ -563,15 +658,6 @@ class HierarchySimulator
     {
         boundaryRec_ = sink;
     }
-
-    /**
-     * Replay recorded boundary traffic, untimed, into this
-     * hierarchy starting at @p level (levels_.size() = main
-     * memory). Evolves levels >= level exactly as the straight-line
-     * untimed recursion would.
-     */
-    std::uint64_t replayBoundary(std::size_t level,
-                                 const std::vector<BoundaryOp> &ops);
 
     /** @{ @name Component access (tests, stats reporting) */
     const HierarchyParams &params() const { return params_; }
@@ -587,7 +673,9 @@ class HierarchySimulator
     std::uint64_t
     instructionCount() const
     {
-        return front_ ? front_->instructions() : 0;
+        return loggedL1_ ? loggedL1_->instructions
+               : front_  ? front_->instructions()
+                         : 0;
     }
     Tick cpuCycleTicks() const { return cpuCycle_; }
     std::uint64_t memoryReads() const { return memReads_; }
@@ -667,13 +755,33 @@ class HierarchySimulator
                        std::size_t begin, std::size_t end,
                        std::size_t fill, std::size_t victim, bool timed);
 
-    /** The timed part of a log replay: reset, then @p log's
-     *  records past the boundary and its tail. */
+    /** @p log's records past the boundary and its tail, timed, and
+     *  the log's L1 counters in place of front_'s. */
+    template <typename Levels>
+    void replayPastBoundary(Levels &levels, const FrontLog &log);
+
+    /** The timed part of a log replay: reset, then
+     *  replayPastBoundary(). */
     template <typename Levels>
     void replayMeasured(Levels &levels, const FrontLog &log);
 
+    /** A window log's timed replay, with no reset: the Detail
+     *  records, then the Measure records and the tail. Returns now()
+     *  at the boundary. */
+    template <typename Levels>
+    Tick replayWindowLog(Levels &levels, const FrontLog &log);
+
     /** Panics unless @p log can drive this machine's back end. */
     void checkLog(const FrontLog &log, const char *caller) const;
+    /** Panics unless @p tape was recorded over @p log on a machine
+     *  of this functional hierarchy. */
+    void checkTape(const FrontLog &log, const LevelTape &tape,
+                   const char *caller) const;
+    /** checkLog() for a window log, plus the snapshot shape checks. */
+    void checkWindow(const FrontLog &log, const WarmSnapshot &snap,
+                     const char *caller) const;
+    /** Set the untimed-path counters a snapshot carries. */
+    void restoreCounters(const WarmSnapshot &snap);
 
     /** Feed the solo co-simulation arrays (out of the hot path). */
     void soloReplay(const trace::MemRef &ref);
@@ -755,10 +863,12 @@ class HierarchySimulator
     std::vector<std::unique_ptr<cache::Cache>> solo_;
     /** @} */
     /** The L1 counters of a log replay, which never steps front_;
-     *  results() reads them in place of front_'s. */
+     *  results() and instructionCount() read them in place of
+     *  front_'s. */
     std::optional<L1Counts> loggedL1_;
-    /** Per-level write-back counts of a replayTimeline() run, which
-     *  probes no level; results() reads them in place of levels_'s. */
+    /** Per-level write-back counts of a replayTimeline() or
+     *  replayWindowTimeline() run, which probes no level; results()
+     *  reads them in place of levels_'s. */
     std::optional<std::vector<std::uint64_t>> tapedWritebacks_;
     std::vector<mem::Bus> buses_; //!< buses_[i] feeds levels_[i];
                                   //!< back() is the backplane

@@ -6,7 +6,6 @@
 #include "trace/stack_distance.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace mlc {
 namespace sample {
@@ -14,7 +13,7 @@ namespace sample {
 namespace detail {
 
 void
-finishSampled(hier::HierarchySimulator &sim,
+finishSampled(const hier::SimResults &functional,
               const SampledOptions &opts, SampledResult &out)
 {
     // An early stop leaves the tail of the schedule untouched; it
@@ -33,7 +32,7 @@ finishSampled(hier::HierarchySimulator &sim,
                  static_cast<double>(out.instructionsMeasured);
     out.cpiInterval = out.windowCpi.interval(opts.confidence);
     out.cpiInterval.mean = out.estCpi;
-    out.functional = sim.results();
+    out.functional = functional;
     // Ideal CPI from the replayed subset's instruction/store mix;
     // see SimResults for the normalization this mirrors.
     const double ideal_cpi =
@@ -137,67 +136,19 @@ runSampled(const hier::HierarchyParams &params, trace::RefSpan refs,
             sim.run(span);
             out.refsDetailWarmed += seg.len;
             break;
-        case SegmentKind::Measure:
-            detail::measureWindow(sim, span, resolved, out);
+        case SegmentKind::Measure: {
+            const detail::WindowStart start{sim.now(),
+                                            sim.instructionCount()};
+            sim.run(span);
+            detail::measureWindow(sim, start, seg.len, resolved, out);
             break;
+        }
         }
         if (out.stoppedEarly)
             break;
     }
-    detail::finishSampled(sim, resolved, out);
+    detail::finishSampled(sim.results(), resolved, out);
     return out;
-}
-
-SampledSuiteResults
-runSuiteSampled(const hier::HierarchyParams &params,
-                const expt::TraceStore &store,
-                const SampledOptions &opts, std::size_t jobs)
-{
-    if (store.size() == 0)
-        mlc_panic("runSuiteSampled: empty trace store");
-
-    // Slot indexing plus the fixed trace-order reduction below
-    // keeps jobs=1 and jobs=N bit-identical (the expt::runSuite
-    // contract).
-    std::vector<SampledResult> per_trace(store.size());
-    parallelFor(jobs, store.size(), [&](std::size_t t) {
-        per_trace[t] = runSampled(params, store.span(t), opts);
-    });
-
-    SampledSuiteResults suite;
-    for (const SampledResult &r : per_trace) {
-        suite.relExecTime += r.estRelExecTime;
-        suite.cpi += r.estCpi;
-        suite.maxRelHalfWidth =
-            std::max(suite.maxRelHalfWidth,
-                     r.cpiInterval.relativeHalfWidth());
-        ++suite.traces;
-    }
-    const double n = static_cast<double>(suite.traces);
-    suite.relExecTime /= n;
-    suite.cpi /= n;
-    suite.perTrace = std::move(per_trace);
-    return suite;
-}
-
-expt::DesignSpaceGrid
-buildGrid(const hier::HierarchyParams &base,
-          const std::vector<std::uint64_t> &sizes,
-          const std::vector<std::uint32_t> &cycles,
-          const expt::TraceStore &store, const SampledOptions &opts,
-          std::size_t jobs)
-{
-    // Cells parallelize; each cell's suite run stays serial, so
-    // every cell value is independent of the jobs count and the
-    // grid inherits parallelBuildGrid's determinism.
-    return expt::parallelBuildGrid(
-        sizes, cycles,
-        [&](std::uint64_t size, std::uint32_t cycle) {
-            return runSuiteSampled(base.withL2(size, cycle), store,
-                                   opts)
-                .relExecTime;
-        },
-        jobs);
 }
 
 } // namespace sample

@@ -17,9 +17,8 @@
  *
  * Determinism: for fixed options (including seed) the schedule, the
  * replayed references and therefore every output bit are identical
- * run to run, and runSuiteSampled() is bit-identical for any jobs
- * count (slot-indexed workers, fixed-order reduction — the same
- * contract as expt::runSuite).
+ * run to run. runSampled() is the reference the checkpointed sweep
+ * (sample/sweep.hh) is held to, bit for bit.
  */
 
 #ifndef MLC_SAMPLE_ENGINE_HH
@@ -133,27 +132,34 @@ deriveFunctionalWarmRefs(trace::RefSpan refs,
 
 namespace detail {
 
+/** Where a Measure segment starts: the clock and the instruction
+ *  count there. */
+struct WindowStart
+{
+    Tick ticks = 0;
+    std::uint64_t instructions = 0;
+};
+
 /**
  * One Measure window, shared verbatim between runSampled() and the
  * checkpointed sweep so the two are bit-identical by construction:
- * bracket the timed run with tick/instruction snapshots, push the
- * window CPI, accumulate the ratio-estimator totals, and apply the
- * adaptive stopping rule.
+ * from @p start to where @p sim stands now, @p refs references
+ * later, push the window CPI, accumulate the ratio-estimator
+ * totals, and apply the adaptive stopping rule.
  */
 inline void
-measureWindow(hier::HierarchySimulator &sim, trace::RefSpan span,
+measureWindow(const hier::HierarchySimulator &sim,
+              const WindowStart &start, std::uint64_t refs,
               const SampledOptions &opts, SampledResult &out)
 {
-    const Tick ticks0 = sim.now();
-    const std::uint64_t instr0 = sim.instructionCount();
-    sim.run(span);
-    out.refsMeasured += span.size;
-    const std::uint64_t instr = sim.instructionCount() - instr0;
+    out.refsMeasured += refs;
+    const std::uint64_t instr =
+        sim.instructionCount() - start.instructions;
     // A window with no instruction fetches has no CPI (it cannot
     // happen with the suite generators, but a pathological trace
     // must not divide by zero).
     if (instr > 0) {
-        const Tick dticks = sim.now() - ticks0;
+        const Tick dticks = sim.now() - start.ticks;
         const double cycles =
             static_cast<double>(dticks) /
             static_cast<double>(sim.cpuCycleTicks());
@@ -173,47 +179,14 @@ measureWindow(hier::HierarchySimulator &sim, trace::RefSpan span,
 
 /**
  * Shared epilogue: close the reference accounting, form the ratio
- * estimate and its re-centred interval, and collect the functional
- * counters. Panics when no window produced a CPI sample.
+ * estimate and its re-centred interval, and keep @p functional, the
+ * simulator's results where the sampling stopped. Panics when no
+ * window produced a CPI sample.
  */
-void finishSampled(hier::HierarchySimulator &sim,
+void finishSampled(const hier::SimResults &functional,
                    const SampledOptions &opts, SampledResult &out);
 
 } // namespace detail
-
-/** Suite-level aggregate, mirroring expt::SuiteResults. */
-struct SampledSuiteResults
-{
-    double relExecTime = 0.0; //!< mean of per-trace estimates
-    double cpi = 0.0;         //!< mean of per-trace estimates
-    /** Widest per-trace relative half-width — the suite's
-     *  worst-case sampling uncertainty. */
-    double maxRelHalfWidth = 0.0;
-    std::uint64_t traces = 0;
-    std::vector<SampledResult> perTrace;
-};
-
-/**
- * runSampled() over every trace in @p store, @p jobs at a time.
- * Bit-identical for any @p jobs.
- */
-SampledSuiteResults
-runSuiteSampled(const hier::HierarchyParams &params,
-                const expt::TraceStore &store,
-                const SampledOptions &opts, std::size_t jobs = 1);
-
-/**
- * The Section 4 design-space grid priced with the sampled engine:
- * every (size, cycle) cell holds the suite-mean sampled relative
- * execution time of base.withL2(size, cycle). Mirrors
- * onepass::buildGrid; deterministic for any @p jobs.
- */
-expt::DesignSpaceGrid
-buildGrid(const hier::HierarchyParams &base,
-          const std::vector<std::uint64_t> &sizes,
-          const std::vector<std::uint32_t> &cycles,
-          const expt::TraceStore &store, const SampledOptions &opts,
-          std::size_t jobs = 1);
 
 } // namespace sample
 } // namespace mlc

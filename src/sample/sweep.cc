@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "trace/binary.hh"
@@ -159,15 +160,16 @@ struct WarmState
  * segment on @p sim (the warmer machine), recording the traffic
  * that crosses its memory boundary, capture the prefix into
  * @p state and tee it to @p writer when there is one. Then replay
- * Detail and Measure untimed: the configurations replay them timed,
- * and the warmer must see the same references so that the next
- * window's warm state matches a straight-line run.
+ * Detail and Measure untimed, so that the next window's warm state
+ * matches a straight-line run; with @p log, that replay also
+ * records the window log the branches replay timed.
  */
 void
 warmWindow(hier::HierarchySimulator &sim, std::size_t prefix,
            trace::RefSpan refs, const Window &win,
            const trace::MappedBinaryTrace *mapped, WarmState &state,
-           ckpt::CheckpointWriter *writer)
+           ckpt::CheckpointWriter *writer,
+           std::optional<hier::FrontLog> *log)
 {
     validate(mapped, win.warm);
     validate(mapped, win.detail);
@@ -180,8 +182,105 @@ warmWindow(hier::HierarchySimulator &sim, std::size_t prefix,
     sim.captureWarmState(state.arena, state.snap, prefix);
     if (writer)
         writer->addWindow(state.ops, state.snap, state.arena);
+    if (log) {
+        log->emplace(sim.runFunctionalLogged(spanOf(refs, win.detail),
+                                             spanOf(refs, win.measure)));
+        return;
+    }
     sim.runFunctional(spanOf(refs, win.detail));
     sim.runFunctional(spanOf(refs, win.measure));
+}
+
+/**
+ * The window states a batch may hold, in bytes: the capacity of its
+ * boundary ops and snapshot arenas, summed over the batch's windows
+ * (each window's log and tapes ride along, a fraction of that). The
+ * L1-only snapshots of an L2 sweep fit a whole 100-window schedule
+ * of 1M references in one batch; a family whose snapshots carry a
+ * shared 1 MB L2 branches about 8 windows at a time, whose
+ * snapshots are still in the last-level cache when the branches
+ * restore them.
+ */
+constexpr std::size_t kBatchBytes = std::size_t{8} << 20;
+
+/** One window of a batch: its segments, its warm state, the window
+ *  log every configuration replays, and the tape each group leader
+ *  records over that log for its followers. */
+struct BatchWindow
+{
+    Window segments;
+    WarmState state;
+    std::optional<hier::FrontLog> log;
+    std::vector<hier::LevelTape> tapes; //!< one per group
+};
+
+/** One configuration's branch machine and where it stands. */
+struct Branch
+{
+    std::unique_ptr<hier::HierarchySimulator> sim;
+    std::size_t group = 0;
+    /** Still sampling; adaptive stopping clears it. */
+    bool active = true;
+    /** The machine's results at its stop: a leader replays on for
+     *  its followers, but its own result ends there. */
+    std::optional<hier::SimResults> frozen;
+};
+
+/** Configurations of one functional hierarchy, in input order: the
+ *  first replays live, the rest read its tapes. */
+struct Group
+{
+    std::size_t leader = 0;
+    std::vector<std::size_t> followers;
+};
+
+std::vector<Group>
+groupsOf(const std::vector<hier::HierarchyParams> &configs,
+         std::vector<Branch> &branches)
+{
+    std::vector<Group> groups;
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        std::size_t g = 0;
+        while (g < groups.size() &&
+               !hier::sameFunctionalHierarchy(configs[groups[g].leader],
+                                              configs[c]))
+            ++g;
+        if (g == groups.size())
+            groups.push_back({c, {}});
+        else
+            groups[g].followers.push_back(c);
+        branches[c].group = g;
+    }
+    return groups;
+}
+
+/**
+ * The one branch body: configuration @p b's window @p win, live
+ * (recording a tape into @p record when non-null) or, for a
+ * follower, from its leader's @p tape; then the window's accounting,
+ * unless @p b has stopped.
+ */
+void
+branchWindow(Branch &b, SampledResult &out, const BatchWindow &win,
+             hier::LevelTape *record, const hier::LevelTape *tape,
+             const SampledOptions &resolved)
+{
+    hier::HierarchySimulator &sim = *b.sim;
+    const Tick split =
+        tape ? sim.replayWindowTimeline(win.state.snap, *win.log, *tape)
+             : sim.replayWindow(win.state.ops, win.state.arena,
+                                win.state.snap, *win.log, record);
+    if (!b.active)
+        return;
+    out.refsFunctionalWarmed += win.segments.warm.len;
+    out.refsDetailWarmed += win.segments.detail.len;
+    detail::measureWindow(
+        sim, {split, win.log->leadCounts().instructions},
+        win.segments.measure.len, resolved, out);
+    if (out.stoppedEarly) {
+        b.active = false;
+        b.frozen = sim.results();
+    }
 }
 
 } // namespace
@@ -327,11 +426,15 @@ runSweepCheckpointed(const std::vector<hier::HierarchyParams> &configs,
         warmer = std::make_unique<hier::HierarchySimulator>(
             shared.params);
 
-    std::vector<std::unique_ptr<hier::HierarchySimulator>> sims;
-    sims.reserve(configs.size());
-    for (const hier::HierarchyParams &p : configs)
-        sims.push_back(
-            std::make_unique<hier::HierarchySimulator>(p));
+    std::vector<Branch> branches(configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c)
+        branches[c].sim =
+            std::make_unique<hier::HierarchySimulator>(configs[c]);
+    const std::vector<Group> groups = groupsOf(configs, branches);
+    std::vector<std::size_t> followers;
+    for (const Group &g : groups)
+        followers.insert(followers.end(), g.followers.begin(),
+                         g.followers.end());
 
     sweep.perConfig.resize(configs.size());
     for (SampledResult &r : sweep.perConfig) {
@@ -340,74 +443,103 @@ runSweepCheckpointed(const std::vector<hier::HierarchyParams> &configs,
         r.adaptiveWarmUsed = opts.adaptiveWarm;
     }
 
-    // Configurations still sampling (adaptive stopping retires them
-    // one by one; the sweep ends when none are left).
-    std::vector<std::uint8_t> active(configs.size(), 1);
-    auto anyActive = [&] {
-        return std::any_of(active.begin(), active.end(),
-                           [](std::uint8_t a) { return a != 0; });
-    };
+    const auto active = [&](std::size_t c) { return branches[c].active; };
 
-    WarmState state;
-    std::size_t window_idx = 0;
-    for (const Window &win : windowsOf(sched)) {
-        // Adaptive stopping retired everyone: a teeing sweep keeps
-        // warming so the published file covers the full schedule
-        // (a farm entry must serve any stopping rule), everyone
-        // else is done.
-        const bool branching = anyActive();
-        if (!branching && !writer)
+    // Branch a batch of windows at a time: load or warm the batch
+    // and build its window logs, then one parallel region runs each
+    // group's leader over the batch and a second runs the followers
+    // over the tapes the leaders recorded. Each configuration steps
+    // its windows in order inside one task and writes only its own
+    // slot, so any jobs count is bit-identical.
+    ThreadPool pool(jobs);
+    const hier::HierarchyParams l1_params = shared.params.finalized();
+    const std::vector<Window> windows = windowsOf(sched);
+    std::vector<BatchWindow> batch;
+    WarmState scratch;
+    for (std::size_t next = 0; next < windows.size();) {
+        if (std::none_of(branches.begin(), branches.end(),
+                         [](const Branch &b) { return b.active; })) {
+            // Adaptive stopping retired everyone: a teeing sweep
+            // warms the rest so the published file covers the full
+            // schedule (a farm entry must serve any stopping rule);
+            // everyone else is done.
+            if (!writer)
+                break;
+            for (; next < windows.size(); ++next)
+                warmWindow(*warmer, prefix, refs, windows[next], mapped,
+                           scratch, writer.get(), nullptr);
             break;
-
-        if (reader) {
-            // Load this window's live-point instead of warming, so
-            // the warm segment's pages are never validated — or
-            // touched — at all. open() already checksum-verified
-            // every record, so a structural decode failure here is
-            // a format bug, not bit rot — fail the run, don't risk
-            // silent drift.
-            validate(mapped, win.detail);
-            validate(mapped, win.measure);
-            if (!reader->loadWindow(window_idx, state.ops, state.snap,
-                                    state.arena))
-                mlc_panic("checkpoint window ", window_idx, " of ",
-                          policy.store->pathFor(key),
-                          " failed structural decode after "
-                          "verification");
-            if (state.snap.prefixLevels != prefix)
-                mlc_panic("checkpoint window ", window_idx,
-                          " snapshot covers ", state.snap.prefixLevels,
-                          " levels, sweep expects ", prefix);
-        } else {
-            warmWindow(*warmer, prefix, refs, win, mapped, state,
-                       writer.get());
         }
-        ++window_idx;
 
-        // Branch: each configuration rebuilds this window's warm
-        // state (boundary replay first — it touches only the
-        // divergent levels — then the prefix restore) and runs its
-        // own timed Detail+Measure. Slot-indexed per-config state
-        // keeps any jobs count bit-identical.
-        if (!branching)
-            continue;
-        const trace::RefSpan detail_span = spanOf(refs, win.detail);
-        const trace::RefSpan measure_span = spanOf(refs, win.measure);
-        parallelFor(jobs, configs.size(), [&](std::size_t c) {
-            if (!active[c])
-                return;
-            hier::HierarchySimulator &sim = *sims[c];
-            SampledResult &out = sweep.perConfig[c];
-            sim.replayBoundary(prefix, state.ops);
-            sim.restoreWarmState(state.arena, state.snap);
-            out.refsFunctionalWarmed += win.warm.len;
-            if (win.detail.len) {
-                sim.run(detail_span);
-                out.refsDetailWarmed += win.detail.len;
+        std::size_t n = 0;
+        std::size_t bytes = 0;
+        for (; next < windows.size() && bytes < kBatchBytes; ++next) {
+            if (batch.size() == n)
+                batch.emplace_back();
+            BatchWindow &bw = batch[n++];
+            bw.segments = windows[next];
+            bw.tapes.assign(groups.size(), hier::LevelTape());
+            WarmState &state = bw.state;
+            if (reader) {
+                // Load this window's live-point instead of warming,
+                // so the warm segment's pages are never validated —
+                // or touched — at all. open() already checksum-
+                // verified every record, so a structural decode
+                // failure here is a format bug, not bit rot — fail
+                // the run, don't risk silent drift.
+                validate(mapped, bw.segments.detail);
+                validate(mapped, bw.segments.measure);
+                if (!reader->loadWindow(next, state.ops, state.snap,
+                                        state.arena))
+                    mlc_panic("checkpoint window ", next, " of ",
+                              policy.store->pathFor(key),
+                              " failed structural decode after "
+                              "verification");
+                if (state.snap.prefixLevels != prefix)
+                    mlc_panic("checkpoint window ", next,
+                              " snapshot covers ",
+                              state.snap.prefixLevels,
+                              " levels, sweep expects ", prefix);
+            } else {
+                warmWindow(*warmer, prefix, refs, bw.segments, mapped,
+                           state, writer.get(), &bw.log);
             }
-            detail::measureWindow(sim, measure_span, resolved, out);
-            if (out.stoppedEarly)
-                active[c] = 0;
+            bytes += state.ops.capacity() * sizeof(hier::BoundaryOp) +
+                     state.arena.capacity();
+        }
+        if (reader) {
+            // A loaded window's log steps an L1 restored from its
+            // snapshot; windows are independent, so in parallel.
+            pool.parallelFor(n, [&](std::size_t k) {
+                BatchWindow &bw = batch[k];
+                hier::L1Front front(l1_params);
+                front.restore(bw.state.arena, bw.state.snap);
+                bw.log.emplace(l1_params, front,
+                               spanOf(refs, bw.segments.detail),
+                               spanOf(refs, bw.segments.measure));
+            });
+        }
+
+        // A leader replays while it samples or while a follower
+        // does, and records tapes only for active followers.
+        pool.parallelFor(groups.size(), [&](std::size_t g) {
+            const Group &group = groups[g];
+            Branch &lead = branches[group.leader];
+            const bool record = std::any_of(
+                group.followers.begin(), group.followers.end(), active);
+            for (std::size_t k = 0; k < n && (lead.active || record);
+                 ++k)
+                branchWindow(lead, sweep.perConfig[group.leader],
+                             batch[k],
+                             record ? &batch[k].tapes[g] : nullptr,
+                             nullptr, resolved);
+        });
+        pool.parallelFor(followers.size(), [&](std::size_t f) {
+            const std::size_t c = followers[f];
+            Branch &b = branches[c];
+            for (std::size_t k = 0; k < n && b.active; ++k)
+                branchWindow(b, sweep.perConfig[c], batch[k], nullptr,
+                             &batch[k].tapes[b.group], resolved);
         });
     }
 
@@ -421,9 +553,11 @@ runSweepCheckpointed(const std::vector<hier::HierarchyParams> &configs,
                  err);
     }
 
-    for (std::size_t c = 0; c < configs.size(); ++c)
-        detail::finishSampled(*sims[c], resolved,
-                              sweep.perConfig[c]);
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        const Branch &b = branches[c];
+        detail::finishSampled(b.frozen ? *b.frozen : b.sim->results(),
+                              resolved, sweep.perConfig[c]);
+    }
     return sweep;
 }
 
@@ -466,7 +600,7 @@ buildCheckpointFarm(const std::vector<hier::HierarchyParams> &configs,
     WarmState state;
     for (const Window &win : windowsOf(sched))
         warmWindow(warmer, shared.prefix, refs, win, mapped, state,
-                   &writer);
+                   &writer, nullptr);
 
     std::string err;
     out.fileBytes = store.publish(writer, key, &err);

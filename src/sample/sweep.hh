@@ -14,10 +14,12 @@
  * truncated "warmer" machine (the shared prefix only), records the
  * traffic crossing its memory boundary, and for each configuration
  * branches: replay the recorded boundary traffic into the divergent
- * levels, restore the prefix snapshot, then run the timed
- * Detail+Measure window as usual. The result is bit-identical to
- * warming every configuration straight-line (golden-tested), at
- * roughly 1/N of the warming cost.
+ * levels, restore the prefix snapshot, then price the timed
+ * Detail+Measure window from the window's one L1 log; configurations
+ * of one functional hierarchy replay only the timeline from the
+ * first one's level tape. The result is bit-identical to warming
+ * every configuration straight-line (golden-tested), at roughly 1/N
+ * of the warming cost.
  *
  * The canonical L2-size sweep shares *zero* downstream levels (the
  * L2 itself differs), so the snapshot covers just the L1s and the
@@ -115,9 +117,10 @@ struct SweepResult
  * config derivation would give each machine a different schedule
  * and break both window alignment and the shared warming.
  *
- * Determinism: bit-identical for any @p jobs (slot-indexed results,
- * per-window barrier, fixed-order reduction), and bit-identical to
- * straight-line runSampled() per configuration.
+ * Determinism: bit-identical for any @p jobs (each configuration
+ * steps its windows in order in one task and writes only its own
+ * slot), and bit-identical to straight-line runSampled() per
+ * configuration.
  *
  * With a CheckpointPolicy whose store is non-null the sweep also
  * engages for a *single* configuration (the farm replay benefit
@@ -220,8 +223,9 @@ PairedResult runPaired(const hier::HierarchyParams &a,
  * The Section 4 design-space grid priced with checkpointed sampled
  * sweeps: every (size, cycle) cell holds the suite-mean sampled
  * relative execution time of base.withL2(size, cycle), exactly as
- * sample::buildGrid() — but all cells of a trace share each
- * window's warming pass instead of repeating it per cell.
+ * one runSampled() per (cell, trace) would give — but all cells of
+ * a trace share each window's warming pass instead of repeating it
+ * per cell.
  * Deterministic for any @p jobs.
  *
  * With @p ckpt_store non-null each trace's sweep goes through the

@@ -24,6 +24,7 @@
 #include "onepass/pipeline.hh"
 #include "sample/engine.hh"
 #include "sample/sweep.hh"
+#include "../sample/sampled_suite.hh"
 #include "trace/binary.hh"
 #include "trace/interleave.hh"
 #include "trace/source.hh"
@@ -191,8 +192,9 @@ TEST(EngineDispatch, SampledMatchesCheckpointedAndStraightLineGrids)
                 checkpointed);
         }
         expectSameGrid(checkpointed,
-                       sample::buildGrid(base, g.sizes, g.cycles,
-                                         store, opts.sampled));
+                       sample::straight_line::buildGrid(
+                           base, g.sizes, g.cycles, store,
+                           opts.sampled));
     }
 }
 

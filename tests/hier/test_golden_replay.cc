@@ -16,7 +16,11 @@
  * hot-path work honest.
  */
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +28,7 @@
 #include "hier/hierarchy.hh"
 #include "trace/interleave.hh"
 #include "trace/source.hh"
+#include "util/snapshot_arena.hh"
 
 namespace mlc {
 namespace hier {
@@ -455,6 +460,245 @@ TEST(GoldenReplay, LogSplitsHitRunsAtTheRunLimit)
         }
     }
 }
+
+/** @{ @name Sampled windows: a window log replays a checkpointed
+ *  L1's Detail and Measure segments */
+
+/** A window of @p refs: warm on the first half, then a Detail and a
+ *  Measure segment. */
+struct WindowSpans
+{
+    trace::RefSpan warm, detail, measure;
+};
+
+WindowSpans
+windowOf(trace::RefSpan all)
+{
+    const std::size_t warm = all.size / 2;
+    const std::size_t detail = all.size / 16;
+    return {all.first(warm), all.dropFirst(warm).first(detail),
+            all.dropFirst(warm + detail)};
+}
+
+/** The L1s of @p params with main memory right below them. */
+HierarchyParams
+l1Only(const HierarchyParams &params)
+{
+    HierarchyParams p = params;
+    p.levels.clear();
+    p.busWidthWords.resize(1);
+    return p;
+}
+
+bool
+sameOps(const std::vector<BoundaryOp> &a, const std::vector<BoundaryOp> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const BoundaryOp &x, const BoundaryOp &y) {
+                          return x.addr == y.addr && x.bytes == y.bytes &&
+                                 x.kind == y.kind &&
+                                 x.countRead == y.countRead;
+                      });
+}
+
+/** What leaves an L1 restored from a snapshot, window log against a
+ *  raw replay: an L1-only machine warms functionally and captures
+ *  its L1s, then runs Detail and Measure raw while a window log is
+ *  recorded from the snapshot. Replaying the Warm traffic and the
+ *  log on another L1-only machine sends main memory the raw run's
+ *  operations in order, the log's boundary falls where Detail's
+ *  traffic ends, and the counts at the boundary and the end are the
+ *  raw run's. */
+void
+expectWindowLogDepartures(const std::string &variant,
+                          const HierarchyParams &params)
+{
+    SCOPED_TRACE(variant);
+    const auto refs = workload(80000);
+    const WindowSpans win = windowOf({refs.data(), refs.size()});
+    const HierarchyParams l1_only = l1Only(params);
+
+    HierarchySimulator donor(l1_only);
+    std::vector<BoundaryOp> warm_ops;
+    donor.setBoundaryRecorder(&warm_ops);
+    donor.runFunctional(win.warm);
+    SnapshotArena arena;
+    WarmSnapshot snap;
+    donor.captureWarmState(arena, snap, 0);
+    std::vector<BoundaryOp> raw;
+    donor.setBoundaryRecorder(&raw);
+    donor.runFunctional(win.detail);
+    const std::size_t raw_split = raw.size();
+    const std::uint64_t split_instructions = donor.instructionCount();
+    donor.runFunctional(win.measure);
+
+    const auto windowLog = [&](trace::RefSpan measure) {
+        L1Front front(l1_only.finalized());
+        front.restore(arena, snap);
+        return FrontLog(l1_only, front, win.detail, measure);
+    };
+    // The window's own departures: what follows the replayed Warm
+    // traffic at the boundary.
+    const auto departures = [&](const FrontLog &log) {
+        HierarchySimulator sim(l1_only);
+        std::vector<BoundaryOp> ops;
+        sim.setBoundaryRecorder(&ops);
+        sim.replayWindow(warm_ops, arena, snap, log);
+        ops.erase(ops.begin(),
+                  ops.begin() + static_cast<std::ptrdiff_t>(warm_ops.size()));
+        return std::pair{ops, extract(sim)};
+    };
+
+    const FrontLog log = windowLog(win.measure);
+    ASSERT_TRUE(log.window());
+    const auto [ops, got] = departures(log);
+    EXPECT_GT(raw_split, 0u);
+    EXPECT_LT(raw_split, raw.size());
+    EXPECT_TRUE(sameOps(ops, raw))
+        << ops.size() << " replayed ops vs " << raw.size() << " raw";
+
+    // Detail alone departs the raw Detail traffic; its records are
+    // the full log's Detail part.
+    const FrontLog lead = windowLog({});
+    EXPECT_EQ(lead.boundary(), log.boundary());
+    EXPECT_EQ(lead.records().size(), log.boundary());
+    const std::vector<BoundaryOp> detail_ops(
+        raw.begin(), raw.begin() + static_cast<std::ptrdiff_t>(raw_split));
+    EXPECT_TRUE(sameOps(departures(lead).first, detail_ops));
+
+    EXPECT_EQ(log.leadCounts().instructions, split_instructions);
+    const Golden want = extract(donor);
+    EXPECT_EQ(log.counts().instructions, want.instructions);
+    EXPECT_EQ(got.instructions, want.instructions);
+    EXPECT_EQ(got.cpuReads, want.cpuReads);
+    EXPECT_EQ(got.cpuWrites, want.cpuWrites);
+    EXPECT_EQ(got.memReads, want.memReads);
+    EXPECT_EQ(got.memWrites, want.memWrites);
+    EXPECT_EQ(got.l1DetailReads, want.l1DetailReads);
+    EXPECT_EQ(got.l1DetailMisses, want.l1DetailMisses);
+    EXPECT_EQ(got.l1DetailWritebacks, want.l1DetailWritebacks);
+}
+
+TEST(GoldenReplay, WindowLogEqualsRestoredL1Departures)
+{
+    const HierarchyParams base = HierarchyParams::baseMachine();
+    expectWindowLogDepartures("write-back", base);
+
+    HierarchyParams wt = base;
+    wt.l1i.writePolicy = cache::WritePolicy::WriteThrough;
+    wt.l1d.writePolicy = cache::WritePolicy::WriteThrough;
+    expectWindowLogDepartures("write-through", wt);
+
+    HierarchyParams wtna = base;
+    wtna.l1d.writePolicy = cache::WritePolicy::WriteThrough;
+    wtna.l1d.allocPolicy = cache::AllocPolicy::NoWriteAllocate;
+    expectWindowLogDepartures("write-through no-allocate", wtna);
+
+    HierarchyParams sub = base;
+    sub.l1i.fetchBytes = 4;
+    sub.l1d.fetchBytes = 4;
+    expectWindowLogDepartures("sub-blocked", sub);
+
+    HierarchyParams unified = base;
+    unified.splitL1 = false;
+    unified.l1d.geometry.sizeBytes = 4096;
+    expectWindowLogDepartures("unified", unified);
+
+    for (const cache::ReplPolicy policy :
+         {cache::ReplPolicy::LRU, cache::ReplPolicy::FIFO,
+          cache::ReplPolicy::Random}) {
+        HierarchyParams p = base;
+        p.l1i.geometry.assoc = 2;
+        p.l1d.geometry.assoc = 2;
+        p.l1i.replPolicy = policy;
+        p.l1d.replPolicy = policy;
+        expectWindowLogDepartures(
+            "2-way policy " + std::to_string(static_cast<int>(policy)),
+            p);
+    }
+}
+
+/** A sampled window on the base machine: the warm state a warmer
+ *  captured and the log an L1 restored from it records. */
+struct BaseWindow
+{
+    std::vector<MemRef> refs = workload(40000);
+    HierarchyParams params = HierarchyParams::baseMachine();
+    SnapshotArena arena;
+    WarmSnapshot snap;
+    std::vector<BoundaryOp> ops;
+
+    BaseWindow()
+    {
+        HierarchySimulator warmer(l1Only(params));
+        warmer.setBoundaryRecorder(&ops);
+        warmer.runFunctional(windowOf(all()).warm);
+        warmer.captureWarmState(arena, snap, 0);
+    }
+
+    trace::RefSpan all() const { return {refs.data(), refs.size()}; }
+
+    FrontLog
+    log() const
+    {
+        const WindowSpans win = windowOf(all());
+        L1Front front(params.finalized());
+        front.restore(arena, snap);
+        return FrontLog(params, front, win.detail, win.measure);
+    }
+};
+
+/** A window's timeline reads its leader's tape: the tape of another
+ *  functional hierarchy or of another window log panics. */
+TEST(GoldenReplayDeath, WindowTapeNeedsItsLogAndHierarchy)
+{
+    const BaseWindow w;
+    const FrontLog log = w.log();
+    LevelTape tape;
+    HierarchySimulator(w.params).replayWindow(w.ops, w.arena, w.snap,
+                                              log, &tape);
+
+    HierarchySimulator other_l2(w.params.withL2(1u << 20, 3));
+    EXPECT_DEATH(other_l2.replayWindowTimeline(w.snap, log, tape),
+                 "another hierarchy");
+
+    // The same window's log, recorded again, is another log.
+    const FrontLog again = w.log();
+    HierarchySimulator other_log(w.params.withL2(
+        w.params.levels[0].geometry.sizeBytes, 7));
+    EXPECT_DEATH(other_log.replayWindowTimeline(w.snap, again, tape),
+                 "another FrontLog");
+
+    // A log over the whole span is no window log.
+    const FrontLog plain(w.params, w.all(), 0);
+    HierarchySimulator not_window(w.params);
+    EXPECT_DEATH(not_window.replayWindow(w.ops, w.arena, w.snap, plain),
+                 "not a window log");
+}
+
+/** A window's timeline reads no tags: a follower allocates no level
+ *  arrays, and prices the window as its leader's live replay at its
+ *  own cycle time would. */
+TEST(GoldenReplayDeath, WindowTimelineBuildsNoCache)
+{
+    const BaseWindow w;
+    const FrontLog log = w.log();
+    LevelTape tape;
+    HierarchySimulator(w.params).replayWindow(w.ops, w.arena, w.snap,
+                                              log, &tape);
+
+    const HierarchyParams slower =
+        w.params.withL2(w.params.levels[0].geometry.sizeBytes, 7);
+    HierarchySimulator follower(slower);
+    const Tick split = follower.replayWindowTimeline(w.snap, log, tape);
+    HierarchySimulator live(slower);
+    EXPECT_EQ(split, live.replayWindow(w.ops, w.arena, w.snap, log));
+    EXPECT_TRUE(extract(follower) == extract(live));
+    EXPECT_GT(follower.results().references, 0u);
+    EXPECT_DEATH(follower.level(0), "0 built caches");
+}
+
+/** @} */
 
 } // namespace
 } // namespace hier

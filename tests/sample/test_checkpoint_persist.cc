@@ -6,9 +6,10 @@
  *  sweep that tees its warm state to a farm, and a later sweep
  *  that loads that farm in place of warming, must both match the
  *  in-memory sweep and per-config straight-line runs field for
- *  field. Covers the canonical L2 family, a lone configuration,
- *  three-level prefix families, adaptive stopping, jobs
- *  invariance, and the grid entry point. */
+ *  field. Covers the canonical L2 family, a sizes x cycle times
+ *  family whose sizes group their cycle times, a lone
+ *  configuration, three-level prefix families, adaptive stopping,
+ *  jobs invariance, and the grid entry point. */
 
 #include <cstdint>
 #include <filesystem>
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "ckpt/store.hh"
+#include "expect_sampled.hh"
 #include "hier/hierarchy.hh"
 #include "sample/sweep.hh"
 #include "trace/synthetic_source.hh"
@@ -86,35 +88,6 @@ freshRoot(const char *name)
 }
 
 void
-expectBitIdentical(const SampledResult &a, const SampledResult &b)
-{
-    EXPECT_EQ(a.estCpi, b.estCpi);
-    EXPECT_EQ(a.estRelExecTime, b.estRelExecTime);
-    EXPECT_EQ(a.cpiInterval.mean, b.cpiInterval.mean);
-    EXPECT_EQ(a.cpiInterval.halfWidth, b.cpiInterval.halfWidth);
-    EXPECT_EQ(a.windowCpiValues, b.windowCpiValues);
-    EXPECT_EQ(a.stoppedEarly, b.stoppedEarly);
-    EXPECT_EQ(a.cyclesMeasured, b.cyclesMeasured);
-    EXPECT_EQ(a.instructionsMeasured, b.instructionsMeasured);
-    EXPECT_EQ(a.refsMeasured, b.refsMeasured);
-    EXPECT_EQ(a.refsDetailWarmed, b.refsDetailWarmed);
-    EXPECT_EQ(a.refsFunctionalWarmed, b.refsFunctionalWarmed);
-    EXPECT_EQ(a.refsSkipped, b.refsSkipped);
-    const hier::SimResults &fa = a.functional;
-    const hier::SimResults &fb = b.functional;
-    EXPECT_EQ(fa.instructions, fb.instructions);
-    EXPECT_EQ(fa.references, fb.references);
-    EXPECT_EQ(fa.totalCycles, fb.totalCycles);
-    ASSERT_EQ(fa.levels.size(), fb.levels.size());
-    for (std::size_t i = 0; i < fa.levels.size(); ++i) {
-        EXPECT_EQ(fa.levels[i].readRequests,
-                  fb.levels[i].readRequests);
-        EXPECT_EQ(fa.levels[i].readMisses,
-                  fb.levels[i].readMisses);
-    }
-}
-
-void
 expectSweepsIdentical(const SweepResult &a, const SweepResult &b)
 {
     ASSERT_EQ(a.perConfig.size(), b.perConfig.size());
@@ -161,6 +134,41 @@ TEST(CheckpointPersist, TeeThenLoadMatchesInMemoryAndStraightLine)
         expectBitIdentical(loaded.perConfig[c],
                            runSampled(configs[c], span(),
                                       options()));
+    }
+}
+
+/** A family of sizes x cycle times on the write-through L1 machine,
+ *  where each size's later cycle times follow its first: the sweep
+ *  that builds the farm, the sweeps that load it at 1 and 3 jobs
+ *  and straight-line runs agree field for field. */
+TEST(CheckpointPersist, GroupedFamilyLoadEqualsBuildAndStraightLine)
+{
+    hier::HierarchyParams wt = hier::HierarchyParams::baseMachine();
+    wt.l1d.writePolicy = cache::WritePolicy::WriteThrough;
+    wt.l1d.allocPolicy = cache::AllocPolicy::NoWriteAllocate;
+    std::vector<hier::HierarchyParams> configs;
+    for (const std::uint64_t kb : {64u, 512u})
+        for (const std::uint32_t cycles : {3u, 7u, 2u})
+            configs.push_back(wt.withL2(kb * 1024, cycles));
+
+    ckpt::CheckpointStore store(freshRoot("grouped"));
+    CheckpointPolicy policy;
+    policy.store = &store;
+    policy.traceId = "t";
+    const SweepResult built = runSweepCheckpointed(
+        configs, span(), options(), 3, nullptr, policy);
+    EXPECT_TRUE(built.builtCheckpointFile);
+    for (const std::size_t jobs : {1u, 3u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const SweepResult loaded = runSweepCheckpointed(
+            configs, span(), options(), jobs, nullptr, policy);
+        EXPECT_TRUE(loaded.fromCheckpointFile);
+        expectSweepsIdentical(loaded, built);
+    }
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        SCOPED_TRACE("config " + std::to_string(c));
+        expectBitIdentical(built.perConfig[c],
+                           runSampled(configs[c], span(), options()));
     }
 }
 

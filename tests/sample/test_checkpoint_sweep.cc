@@ -5,10 +5,13 @@
  *  window plus a snapshot restore is *bit-identical* to warming
  *  every configuration straight-line. These tests assert exactly
  *  that — every estimator field, every window CPI sample, every
- *  functional counter — across configuration families derived from
- *  the golden-replay configurations (write policies, sub-blocking,
- *  unified L1, replacement policies, three-level machines), plus
- *  the incompatible-restore panics and the matched-pair estimator's
+ *  functional counter — across sizes x cycle times families
+ *  derived from the golden-replay configurations (write policies,
+ *  sub-blocking, unified L1, replacement policies, three-level
+ *  machines), at 1, 4 and 7 jobs, where each functional hierarchy's
+ *  first configuration replays live and the rest follow its tapes;
+ *  plus adaptive stopping inside those groups, the incompatible-
+ *  restore panics and the matched-pair estimator's
  *  variance-reduction guarantees.
  */
 
@@ -18,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "hier/hierarchy.hh"
+#include "expect_sampled.hh"
 #include "sample/sweep.hh"
 #include "trace/synthetic_source.hh"
 #include "util/snapshot_arena.hh"
@@ -62,74 +66,43 @@ options()
     return o;
 }
 
-/** Every field the estimator and the functional counters produce
- *  must match exactly — no tolerance anywhere. */
-void
-expectBitIdentical(const SampledResult &a, const SampledResult &b)
-{
-    EXPECT_EQ(a.estCpi, b.estCpi);
-    EXPECT_EQ(a.estRelExecTime, b.estRelExecTime);
-    EXPECT_EQ(a.cpiInterval.mean, b.cpiInterval.mean);
-    EXPECT_EQ(a.cpiInterval.halfWidth, b.cpiInterval.halfWidth);
-    EXPECT_EQ(a.windowCpiValues, b.windowCpiValues);
-    EXPECT_EQ(a.stoppedEarly, b.stoppedEarly);
-    EXPECT_EQ(a.cyclesMeasured, b.cyclesMeasured);
-    EXPECT_EQ(a.instructionsMeasured, b.instructionsMeasured);
-    EXPECT_EQ(a.refsMeasured, b.refsMeasured);
-    EXPECT_EQ(a.refsDetailWarmed, b.refsDetailWarmed);
-    EXPECT_EQ(a.refsFunctionalWarmed, b.refsFunctionalWarmed);
-    EXPECT_EQ(a.refsSkipped, b.refsSkipped);
-
-    const hier::SimResults &fa = a.functional;
-    const hier::SimResults &fb = b.functional;
-    EXPECT_EQ(fa.instructions, fb.instructions);
-    EXPECT_EQ(fa.cpuReads, fb.cpuReads);
-    EXPECT_EQ(fa.cpuWrites, fb.cpuWrites);
-    EXPECT_EQ(fa.references, fb.references);
-    EXPECT_EQ(fa.totalCycles, fb.totalCycles);
-    EXPECT_EQ(fa.idealCycles, fb.idealCycles);
-    ASSERT_EQ(fa.levels.size(), fb.levels.size());
-    for (std::size_t i = 0; i < fa.levels.size(); ++i) {
-        EXPECT_EQ(fa.levels[i].readRequests,
-                  fb.levels[i].readRequests);
-        EXPECT_EQ(fa.levels[i].readMisses,
-                  fb.levels[i].readMisses);
-        EXPECT_EQ(fa.levels[i].localMissRatio,
-                  fb.levels[i].localMissRatio);
-        EXPECT_EQ(fa.levels[i].globalMissRatio,
-                  fb.levels[i].globalMissRatio);
-    }
-}
-
-/** Checkpointed sweep vs per-config straight-line runs. */
+/** Checkpointed sweep vs per-config straight-line runs, at 1, 4
+ *  and 7 jobs. */
 void
 expectSweepMatchesStraightLine(
     const std::vector<hier::HierarchyParams> &configs,
     const SampledOptions &opts, bool expect_checkpointed,
     std::size_t expect_prefix = 0)
 {
-    const SweepResult sweep =
-        runSweepCheckpointed(configs, span(), opts);
-    EXPECT_EQ(sweep.checkpointed, expect_checkpointed);
-    if (expect_checkpointed) {
-        EXPECT_EQ(sweep.prefixLevels, expect_prefix);
-    }
-    ASSERT_EQ(sweep.perConfig.size(), configs.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-        SCOPED_TRACE("config " + std::to_string(c));
-        const SampledResult straight =
-            runSampled(configs[c], span(), opts);
-        expectBitIdentical(sweep.perConfig[c], straight);
+    std::vector<SampledResult> straight;
+    for (const hier::HierarchyParams &p : configs)
+        straight.push_back(runSampled(p, span(), opts));
+    for (const std::size_t jobs : {1u, 4u, 7u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        const SweepResult sweep =
+            runSweepCheckpointed(configs, span(), opts, jobs);
+        EXPECT_EQ(sweep.checkpointed, expect_checkpointed);
+        if (expect_checkpointed) {
+            EXPECT_EQ(sweep.prefixLevels, expect_prefix);
+        }
+        ASSERT_EQ(sweep.perConfig.size(), configs.size());
+        for (std::size_t c = 0; c < configs.size(); ++c) {
+            SCOPED_TRACE("config " + std::to_string(c));
+            expectBitIdentical(sweep.perConfig[c], straight[c]);
+        }
     }
 }
 
-/** The canonical sweep: vary the L2, share the L1s (prefix 0). */
+/** The canonical sweep: vary the L2's size and cycle time, share
+ *  the L1s (prefix 0). Each size is one functional hierarchy, so
+ *  its first cycle time leads and the other two follow. */
 std::vector<hier::HierarchyParams>
 l2SizeFamily(const hier::HierarchyParams &base)
 {
     std::vector<hier::HierarchyParams> configs;
-    for (const std::uint64_t kb : {64u, 128u, 256u, 512u})
-        configs.push_back(base.withL2(kb * 1024, 3));
+    for (const std::uint64_t kb : {64u, 256u, 512u})
+        for (const std::uint32_t cycles : {3u, 2u, 6u})
+            configs.push_back(base.withL2(kb * 1024, cycles));
     return configs;
 }
 
@@ -195,8 +168,9 @@ TEST(CheckpointSweep, VictimOrderFamilies)
     }
 }
 
-/** Three-level machines varying only the L3: the L2 is part of the
- *  shared prefix, so the snapshot boundary sits *below* it. */
+/** Three-level machines varying only the L3's size and cycle
+ *  time: the L2 is part of the shared prefix, so the snapshot
+ *  boundary sits *below* it. */
 TEST(CheckpointSweep, SharedL2VaryingL3UsesDeeperBoundary)
 {
     hier::HierarchyParams base =
@@ -209,10 +183,12 @@ TEST(CheckpointSweep, SharedL2VaryingL3UsesDeeperBoundary)
     base.busWidthWords.push_back(base.busWidthWords.back());
 
     std::vector<hier::HierarchyParams> configs;
-    for (const std::uint64_t mb : {1u, 2u, 4u}) {
-        configs.push_back(base);
-        configs.back().levels[1].geometry.sizeBytes = mb << 20;
-    }
+    for (const std::uint64_t mb : {1u, 2u, 4u})
+        for (const double ns : {60.0, 30.0, 90.0}) {
+            configs.push_back(base);
+            configs.back().levels[1].geometry.sizeBytes = mb << 20;
+            configs.back().levels[1].cycleNs = ns;
+        }
     expectSweepMatchesStraightLine(configs, options(), true, 1);
 }
 
@@ -274,6 +250,59 @@ TEST(CheckpointSweep, AdaptiveStopParity)
     expectSweepMatchesStraightLine(
         l2SizeFamily(hier::HierarchyParams::baseMachine()), o, true,
         0);
+}
+
+/** Adaptive stopping inside groups of one functional hierarchy. A
+ *  leader that stops before a follower replays on and records its
+ *  tapes, its own result frozen at its stop; a follower that stops
+ *  first leaves its leader sampling. The preconditions pin both
+ *  orders: 256 KB at cycle times 2, 10, 1 stops after 7, 3 and 10
+ *  windows, 1 MB at 10, 6, 3 after 3, 6 and 10. */
+TEST(CheckpointSweep, AdaptiveStopLeadersAndFollowersStopApart)
+{
+    SampledOptions o = options();
+    o.targetRelHalfWidth = 0.08;
+    o.minWindows = 3;
+    const hier::HierarchyParams base =
+        hier::HierarchyParams::baseMachine();
+    std::vector<hier::HierarchyParams> configs;
+    for (const std::uint32_t cycles : {2u, 10u, 1u})
+        configs.push_back(base.withL2(256 * 1024, cycles));
+    for (const std::uint32_t cycles : {10u, 6u, 3u})
+        configs.push_back(base.withL2(1024 * 1024, cycles));
+
+    std::vector<std::size_t> windows;
+    for (const hier::HierarchyParams &p : configs)
+        windows.push_back(
+            runSampled(p, span(), o).windowCpiValues.size());
+    // Group 0: a follower stops before its leader, another after.
+    ASSERT_GT(windows[0], windows[1]);
+    ASSERT_LT(windows[0], windows[2]);
+    // Group 1: the leader stops before both followers.
+    ASSERT_LT(windows[3], windows[4]);
+    ASSERT_LT(windows[4], windows[5]);
+    expectSweepMatchesStraightLine(configs, o, true, 0);
+}
+
+/** Snapshots that carry a shared 8 MB L2 (over 6 MB of tag state a
+ *  window, 10 windows) exceed one batch's budget of window states,
+ *  so the sweep branches over several batches; results are still
+ *  each configuration's straight-line run. */
+TEST(CheckpointSweep, WindowsBeyondOneBatchMatchStraightLine)
+{
+    std::vector<hier::HierarchyParams> configs;
+    for (const std::uint32_t cycles : {4u, 2u, 7u})
+        configs.push_back(hier::HierarchyParams::baseMachine().withL2(
+            8u << 20, cycles));
+
+    hier::HierarchySimulator warmer(configs[0]);
+    warmer.runFunctional(span().first(1'000));
+    SnapshotArena arena;
+    hier::WarmSnapshot snap;
+    warmer.captureWarmState(arena, snap, 1);
+    EXPECT_GT(arena.bytesUsed(), std::size_t{6} << 20);
+
+    expectSweepMatchesStraightLine(configs, options(), true, 1);
 }
 
 TEST(CheckpointSweep, GridMatchesPerCellStraightLine)
@@ -395,27 +424,37 @@ TEST(CheckpointSweep, AdaptiveWarmDerivation)
 
 TEST(CheckpointSweepDeath, RestoreIntoIncompatibleConfigPanics)
 {
-    hier::HierarchySimulator donor(
-        hier::HierarchyParams::baseMachine());
+    const hier::HierarchyParams base =
+        hier::HierarchyParams::baseMachine();
+    hier::HierarchySimulator donor(base);
     donor.runFunctional(span().first(50'000));
     SnapshotArena arena;
     hier::WarmSnapshot snap;
-    donor.captureWarmState(arena, snap, 0);
+    donor.captureWarmState(arena, snap, 1);
 
     // Different L1 geometry: TagArray's fingerprint check fires.
-    hier::HierarchySimulator other(
-        hier::HierarchyParams::baseMachine().withL1Total(32 * 1024));
-    EXPECT_DEATH(other.restoreWarmState(arena, snap),
-                 "geometry mismatch");
+    hier::L1Front other(base.withL1Total(32 * 1024).finalized());
+    EXPECT_DEATH(other.restore(arena, snap), "geometry mismatch");
 
     // Unified-L1 machine: the shape check fires first.
-    hier::HierarchyParams unified =
-        hier::HierarchyParams::baseMachine();
+    hier::HierarchyParams unified = base;
     unified.splitL1 = false;
     unified.l1d.geometry.sizeBytes = 4096;
-    hier::HierarchySimulator uni(unified);
-    EXPECT_DEATH(uni.restoreWarmState(arena, snap),
-                 "split-L1 mismatch");
+    hier::L1Front uni(unified.finalized());
+    EXPECT_DEATH(uni.restore(arena, snap), "split-L1 mismatch");
+
+    // A snapshot prefix deeper than the branch machine.
+    hier::L1Front front(base.finalized());
+    front.restore(arena, snap);
+    const hier::FrontLog log(base, front,
+                             span().dropFirst(50'000).first(1'000),
+                             span().dropFirst(51'000).first(1'000));
+    hier::HierarchyParams l1_only = base;
+    l1_only.levels.clear();
+    l1_only.busWidthWords.resize(1);
+    hier::HierarchySimulator shallow(l1_only);
+    EXPECT_DEATH(shallow.replayWindow({}, arena, snap, log),
+                 "exceeds hierarchy depth");
 }
 
 } // namespace

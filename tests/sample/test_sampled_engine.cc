@@ -15,11 +15,16 @@
 #include "expt/runner.hh"
 #include "hier/hierarchy.hh"
 #include "sample/engine.hh"
+#include "sampled_suite.hh"
 #include "trace/synthetic_source.hh"
 
 namespace mlc {
 namespace sample {
 namespace {
+
+using straight_line::buildGrid;
+using straight_line::runSuiteSampled;
+using straight_line::SampledSuiteResults;
 
 const std::vector<trace::MemRef> &
 workload()
